@@ -149,9 +149,11 @@ Row run_point(const Cfg& c) {
   sim::ThreadCtx setup({.id = 100, .socket = 0, .mlp = 8, .seed = 1});
   store.create(setup);
   workload::load(store, spec, setup);
-  platform.reset_timing();
+  // Drain the preload's buffered writes on the preload's own clock, then
+  // reset device timing: the workers start at t = 0 on a quiet device.
   setup.drain();
   drain_xp_buffers(platform, setup.now());
+  platform.reset_timing();
 
   const auto s0 = telemetry::Snapshot::capture(platform);
   workload::EngineOptions eo;

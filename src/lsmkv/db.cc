@@ -3,11 +3,67 @@
 #include <algorithm>
 #include <cassert>
 #include <iterator>
-#include <map>
 
 #include "pmemlib/pmem_ops.h"
 
 namespace xp::kv {
+
+namespace {
+
+// Newest-wins k-way merge over positioned run cursors, newest run first.
+// Yields each key once, from the newest run holding it; tombstones are
+// yielded too (the caller decides what they shadow).
+class RunMerge {
+ public:
+  explicit RunMerge(std::vector<SsTable::Cursor>& runs)
+      : runs_(runs), later_{&runs} {
+    for (std::size_t i = 0; i < runs_.size(); ++i)
+      if (runs_[i].valid()) push(i);
+  }
+
+  bool valid() const { return !heap_.empty(); }
+  const SsTable::Cursor& top() const { return runs_[heap_.front()]; }
+
+  void next(sim::ThreadCtx& ctx) {
+    const std::size_t win = pop();
+    // Step the shadowed older versions first, while the winner's key is
+    // still staged.
+    while (!heap_.empty() && runs_[heap_.front()].key() == runs_[win].key())
+      advance(ctx, pop());
+    advance(ctx, win);
+  }
+
+ private:
+  // Heap order: smallest key on top, newest run first among equal keys.
+  struct Later {
+    const std::vector<SsTable::Cursor>* runs;
+    bool operator()(std::size_t a, std::size_t b) const {
+      const int c = (*runs)[a].key().compare((*runs)[b].key());
+      return c != 0 ? c > 0 : a > b;
+    }
+  };
+
+  void push(std::size_t i) {
+    heap_.push_back(i);
+    std::push_heap(heap_.begin(), heap_.end(), later_);
+  }
+  std::size_t pop() {
+    std::pop_heap(heap_.begin(), heap_.end(), later_);
+    const std::size_t i = heap_.back();
+    heap_.pop_back();
+    return i;
+  }
+  void advance(sim::ThreadCtx& ctx, std::size_t i) {
+    runs_[i].next(ctx);
+    if (runs_[i].valid()) push(i);
+  }
+
+  std::vector<SsTable::Cursor>& runs_;
+  Later later_;
+  std::vector<std::size_t> heap_;
+};
+
+}  // namespace
 
 Db::Manifest Db::load_manifest(sim::ThreadCtx& ctx) {
   // Under sst_residency the manifest is mirrored in DRAM: every
@@ -292,37 +348,75 @@ bool Db::get(sim::ThreadCtx& ctx, std::string_view key, std::string* value) {
   return false;
 }
 
+std::vector<SsTable::Cursor> Db::open_runs(sim::ThreadCtx& ctx,
+                                           const Manifest& m,
+                                           std::string_view start_key) {
+  std::vector<SsTable::Cursor> cursors;
+  cursors.reserve(m.n_l0 + m.n_l1);
+  auto open = [&](const TableRef& t) {
+    const auto it = residency_.find(t.off);
+    cursors.emplace_back(ctx, pool_.ns(), t.off,
+                      it != residency_.end() ? &it->second : nullptr);
+    cursors.back().seek(ctx, start_key);
+  };
+  for (std::uint32_t i = m.n_l0; i-- > 0;) open(m.l0[i]);
+  for (std::uint32_t i = m.n_l1; i-- > 0;) open(m.l1[i]);
+  return cursors;
+}
+
+std::vector<Db::RunInfo> Db::runs(sim::ThreadCtx& ctx) {
+  const Manifest m = load_manifest(ctx);
+  std::vector<RunInfo> out;
+  for (std::uint32_t i = 0; i < m.n_l0; ++i)
+    out.push_back({0, m.l0[i].off, m.l0[i].size});
+  for (std::uint32_t i = 0; i < m.n_l1; ++i)
+    out.push_back({1, m.l1[i].off, m.l1[i].size});
+  return out;
+}
+
 std::vector<std::pair<std::string, std::string>> Db::scan(
     sim::ThreadCtx& ctx, std::string_view start_key,
     std::size_t max_results) {
-  // Newest source first; the first version of each key wins.
-  struct Version {
-    std::string value;
-    bool tombstone;
-  };
-  std::map<std::string, Version> merged;
+  // The memtable is the newest source, so none of its live rows is
+  // shadowed: rows past its max_results-th live one cannot be returned.
+  std::vector<SsTable::Entry> mem;
+  std::size_t mem_live = 0;
   auto absorb = [&](std::string_view k, std::string_view v, bool tomb) {
-    if (k < start_key) return;
-    merged.try_emplace(std::string(k), Version{std::string(v), tomb});
+    if (k >= start_key && mem_live < max_results) {
+      mem.push_back({std::string(k), std::string(v), tomb});
+      mem_live += tomb ? 0 : 1;
+    }
+    return mem_live < max_results;  // want more rows
   };
-
   if (opts_.memtable == MemtableMode::kPersistent) {
-    pskip_->for_each(ctx, absorb);
+    pskip_->for_each(ctx, [&](std::string_view k, std::string_view v,
+                              bool tomb) { absorb(k, v, tomb); });
   } else {
-    memtable_.for_each([&](std::string_view k, std::string_view v,
-                           bool tomb) { absorb(k, v, tomb); });
+    memtable_.for_each_from(start_key, absorb);
     ctx.advance_by(opts_.cpu_memtable_op);
   }
-  const Manifest m = load_manifest(ctx);
-  for (std::uint32_t i = m.n_l0; i-- > 0;)
-    SsTable::for_each(ctx, pool_.ns(), m.l0[i].off, absorb);
-  for (std::uint32_t i = m.n_l1; i-- > 0;)
-    SsTable::for_each(ctx, pool_.ns(), m.l1[i].off, absorb);
 
+  // Every run seeks to start_key and streams forward only as far as the
+  // merge needs; the memtable wins ties.
+  std::vector<SsTable::Cursor> cursors =
+      open_runs(ctx, load_manifest(ctx), start_key);
+  RunMerge merge(cursors);
   std::vector<std::pair<std::string, std::string>> out;
-  for (auto& [k, ver] : merged) {
-    if (out.size() >= max_results) break;
-    if (!ver.tombstone) out.emplace_back(k, std::move(ver.value));
+  std::size_t mi = 0;
+  while (out.size() < max_results && (mi < mem.size() || merge.valid())) {
+    int c = mi == mem.size() ? 1 : -1;  // which source is exhausted
+    if (mi < mem.size() && merge.valid())
+      c = std::string_view(mem[mi].key).compare(merge.top().key());
+    if (c <= 0) {
+      if (c == 0) merge.next(ctx);  // older version, shadowed
+      if (!mem[mi].tombstone)
+        out.emplace_back(std::move(mem[mi].key), std::move(mem[mi].value));
+      ++mi;
+    } else {
+      if (!merge.top().tombstone())
+        out.emplace_back(merge.top().key(), merge.top().value());
+      merge.next(ctx);
+    }
   }
   return out;
 }
@@ -363,18 +457,16 @@ std::string Db::check_impl(sim::ThreadCtx& ctx) {
       return tag + ": encoded size exceeds allocation";
     if (Status s = SsTable::verify_checksum(ctx, pool_.ns(), t.off); !s.ok())
       return tag + ": " + s.to_string();
+    SsTable::Cursor c(ctx, pool_.ns(), t.off);
     std::string prev;
-    std::string err;
-    bool first = true;
-    SsTable::for_each(ctx, pool_.ns(), t.off,
-                      [&](std::string_view k, std::string_view, bool) {
-                        if (!first && !err.empty()) return;
-                        if (!first && k <= prev)
-                          err = tag + ": keys not strictly increasing";
-                        prev = std::string(k);
-                        first = false;
-                      });
-    return err;
+    std::uint32_t n = 0;
+    for (c.seek(ctx, ""); c.valid(); c.next(ctx), ++n) {
+      if (n > 0 && c.key() <= prev)
+        return tag + ": keys not strictly increasing";
+      prev = c.key();
+    }
+    if (n != c.count()) return tag + ": entries overrun the table";
+    return "";
   };
   for (std::uint32_t i = 0; i < m.n_l0; ++i)
     if (std::string err = check_table("l0", i, m.l0[i]); !err.empty())
@@ -523,24 +615,18 @@ bool Db::background_work(sim::ThreadCtx& ctx) {
 
 void Db::compact(sim::ThreadCtx& ctx, Manifest m) {
   ++stats_.compactions;
-  // Merge all runs, newest first winning; drop tombstones (full merge).
-  std::map<std::string, SsTable::Entry> merged;
-  auto absorb = [&](std::uint64_t off) {
-    SsTable::for_each(ctx, pool_.ns(), off,
-                      [&](std::string_view k, std::string_view v, bool tomb) {
-                        merged.try_emplace(std::string(k),
-                                           SsTable::Entry{std::string(k),
-                                                          std::string(v),
-                                                          tomb});
-                      });
-  };
-  for (std::uint32_t i = m.n_l0; i-- > 0;) absorb(m.l0[i].off);
-  for (std::uint32_t i = m.n_l1; i-- > 0;) absorb(m.l1[i].off);
-
+  // Stream every run through one newest-wins merge. Tombstones drop out:
+  // the merge is full, so nothing older is left for them to shadow.
+  std::vector<SsTable::Cursor> cursors = open_runs(ctx, m, "");
+  std::size_t total = 0;
+  for (const SsTable::Cursor& c : cursors) total += c.count();
   std::vector<SsTable::Entry> entries;
-  entries.reserve(merged.size());
-  for (auto& [k, e] : merged)
-    if (!e.tombstone) entries.push_back(std::move(e));
+  entries.reserve(total);
+  for (RunMerge merge(cursors); merge.valid(); merge.next(ctx)) {
+    const SsTable::Cursor& c = merge.top();
+    if (!c.tombstone())
+      entries.push_back({std::string(c.key()), std::string(c.value()), false});
+  }
 
   pmem::Tx tx(pool_, ctx);
   Manifest out = m;

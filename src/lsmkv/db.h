@@ -7,8 +7,9 @@
 //
 // Writes go to the memtable (+WAL); when the memtable exceeds the
 // threshold it is flushed to an L0 SSTable; when L0 fills up, all runs
-// are merge-compacted into a single L1 run. The manifest lives in the
-// pool root and is updated transactionally, so crash-recovery resumes
+// are merge-compacted into a single L1 run by a k-way merge over
+// SsTable::Cursor streams (§5.1 sequential bursts). The manifest lives in
+// the pool root and is updated transactionally, so crash-recovery resumes
 // from a consistent table set plus WAL replay.
 #pragma once
 
@@ -107,11 +108,21 @@ class Db {
 
   // Range scan: up to `max_results` live key/value pairs with
   // key >= start_key, in key order, newest version winning and
-  // tombstones hidden. (Merges the memtable and every run; intended for
-  // moderate result counts.)
+  // tombstones hidden. Every run seeks to start_key and streams forward
+  // through the same newest-wins merge as compaction, so the scan reads
+  // only as far as its max_results live rows need.
   std::vector<std::pair<std::string, std::string>> scan(
       sim::ThreadCtx& ctx, std::string_view start_key,
       std::size_t max_results);
+
+  // The live run set as the manifest lists it: L0 oldest first, then L1.
+  // `size` is the table's encoded size.
+  struct RunInfo {
+    unsigned level;
+    std::uint64_t off;
+    std::uint64_t size;
+  };
+  std::vector<RunInfo> runs(sim::ThreadCtx& ctx);
 
   const DbStats& stats() const { return stats_; }
   const DbOptions& options() const { return opts_; }
@@ -147,6 +158,11 @@ class Db {
   std::string check_impl(sim::ThreadCtx& ctx);
   void maybe_flush(sim::ThreadCtx& ctx);
   void compact(sim::ThreadCtx& ctx, Manifest m);
+  // Cursors over every run of `m`, newest first (L0 newest to oldest,
+  // then L1), each positioned at the first key >= start_key.
+  std::vector<SsTable::Cursor> open_runs(sim::ThreadCtx& ctx,
+                                         const Manifest& m,
+                                         std::string_view start_key);
   Manifest load_manifest(sim::ThreadCtx& ctx);
   void store_manifest(sim::ThreadCtx& ctx, pmem::Tx& tx, const Manifest& m);
 

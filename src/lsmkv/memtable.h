@@ -50,6 +50,13 @@ class Memtable {
     for (const auto& [k, v] : map_) fn(k, v.data, v.tombstone);
   }
 
+  // Sorted iteration from the first key >= `from` while fn returns true.
+  template <typename Fn>
+  void for_each_from(std::string_view from, Fn&& fn) const {
+    for (auto it = map_.lower_bound(from); it != map_.end(); ++it)
+      if (!fn(it->first, it->second.data, it->second.tombstone)) return;
+  }
+
   void clear() {
     map_.clear();
     bytes_ = 0;

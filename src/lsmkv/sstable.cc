@@ -277,27 +277,106 @@ FindResult SsTable::get_ex(sim::ThreadCtx& ctx, hw::PmemNamespace& ns,
   return FindResult::kNotFound;
 }
 
-void SsTable::for_each(
-    sim::ThreadCtx& ctx, hw::PmemNamespace& ns, std::uint64_t off,
-    const std::function<void(std::string_view, std::string_view, bool)>& fn) {
+SsTable::Cursor::Cursor(sim::ThreadCtx& ctx, hw::PmemNamespace& ns,
+                        std::uint64_t off, const Residency* res)
+    : ns_(&ns), res_(res) {
   const auto h = ns.load_pod<Header>(ctx, off);
   assert(h.magic == kMagic);
-  const std::uint64_t offsets_at = off + sizeof(Header) + h.filter_len;
-  const std::uint64_t data_at = offsets_at + h.count * 4;
-  for (std::uint32_t i = 0; i < h.count; ++i) {
-    const auto rel = ns.load_pod<std::uint32_t>(ctx, offsets_at + i * 4);
-    const auto klen = ns.load_pod<std::uint32_t>(ctx, data_at + rel);
-    const auto vraw = ns.load_pod<std::uint32_t>(ctx, data_at + rel + 4);
-    const std::uint32_t vlen = vraw & ~kTombstoneBit;
-    std::string k(klen, '\0');
-    std::string v(vlen, '\0');
-    ns.load(ctx, data_at + rel + 8,
-            std::span<std::uint8_t>(
-                reinterpret_cast<std::uint8_t*>(k.data()), klen));
-    ns.load(ctx, data_at + rel + 8 + klen,
-            std::span<std::uint8_t>(
-                reinterpret_cast<std::uint8_t*>(v.data()), vlen));
-    fn(k, v, (vraw & kTombstoneBit) != 0);
+  assert(res == nullptr || res->count == h.count);
+  count_ = h.count;
+  idx_ = count_;  // not positioned yet
+  offsets_at_ = off + sizeof(Header) + h.filter_len;
+  data_at_ = offsets_at_ + std::uint64_t{h.count} * 4;
+  end_ = off + h.total_bytes;
+}
+
+void SsTable::Cursor::seek(sim::ThreadCtx& ctx, std::string_view key) {
+  buf_.clear();
+  std::uint32_t lo = 0;
+  std::uint32_t rel = 0;  // offset of entry `lo` once the search settles
+  if (!key.empty()) {
+    std::string probe;
+    std::uint32_t hi = count_;
+    while (lo < hi) {
+      const std::uint32_t mid = lo + (hi - lo) / 2;
+      const std::uint32_t r =
+          res_ != nullptr
+              ? res_->offsets[mid]
+              : ns_->load_pod<std::uint32_t>(
+                    ctx, offsets_at_ + std::uint64_t{mid} * 4);
+      const auto klen = ns_->load_pod<std::uint32_t>(ctx, data_at_ + r);
+      probe.resize(klen);
+      ns_->load(ctx, data_at_ + r + 8,
+                std::span<std::uint8_t>(
+                    reinterpret_cast<std::uint8_t*>(probe.data()), klen));
+      if (probe < key) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+        rel = r;
+      }
+    }
+  }
+  idx_ = lo;
+  pos_ = data_at_ + rel;
+  buf_lo_ = pos_;
+  if (valid()) decode(ctx);
+}
+
+void SsTable::Cursor::next(sim::ThreadCtx& ctx) {
+  pos_ += 8 + std::uint64_t{klen_} + vlen_;
+  if (++idx_ < count_) decode(ctx);
+}
+
+void SsTable::Cursor::decode(sim::ThreadCtx& ctx) {
+  if (pos_ + 8 > end_) {
+    idx_ = count_;
+    return;
+  }
+  stage(ctx, pos_, 8);
+  std::uint32_t vraw;
+  std::memcpy(&klen_, at(pos_), 4);
+  std::memcpy(&vraw, at(pos_ + 4), 4);
+  tomb_ = (vraw & kTombstoneBit) != 0;
+  vlen_ = vraw & ~kTombstoneBit;
+  const std::uint64_t len = 8 + std::uint64_t{klen_} + vlen_;
+  if (pos_ + len > end_) {
+    idx_ = count_;
+    return;
+  }
+  stage(ctx, pos_, len);
+}
+
+void SsTable::Cursor::stage(sim::ThreadCtx& ctx, std::uint64_t p,
+                            std::uint64_t len) {
+  assert(p >= buf_lo_ && p + len <= end_);
+  std::uint64_t hi = buf_lo_ + buf_.size();
+  if (p + len <= hi) return;
+  // Keep the staged bytes from p on (a straddling entry's head) and load
+  // only what follows them: no line is read twice.
+  if (p < hi) {
+    buf_.erase(buf_.begin(),
+               buf_.begin() + static_cast<std::ptrdiff_t>(p - buf_lo_));
+  } else {
+    buf_.clear();
+    hi = p;
+  }
+  buf_lo_ = p;
+  constexpr std::uint64_t kLine = hw::Platform::kXpLineBytes;
+  // Bursts pipeline at streaming MLP; restore the thread's own MLP even
+  // when a poisoned line throws.
+  struct MlpScope {
+    sim::ThreadCtx& ctx;
+    unsigned saved;
+    ~MlpScope() { ctx.set_mlp(saved); }
+  } scope{ctx, ctx.mlp()};
+  ctx.set_mlp(std::max(scope.saved, ns_->platform().timing().default_mlp));
+  while (hi < p + len) {
+    const std::uint64_t to = std::min(end_, hi / kLine * kLine + kBurst);
+    buf_.resize(to - buf_lo_);
+    ns_->load(ctx, hi,
+              std::span<std::uint8_t>(buf_.data() + (hi - buf_lo_), to - hi));
+    hi = to;
   }
 }
 

@@ -9,11 +9,11 @@
 // Built with a single large sequential non-temporal write (guideline #2);
 // point lookups consult the bloom filter first (absent keys skip the
 // whole run), then binary-search the offset array with timed loads,
-// giving realistic read amplification.
+// giving realistic read amplification. Compaction, scans and checks read
+// it back through Cursor: sequential bursts of the data area.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -98,11 +98,65 @@ class SsTable {
   static std::uint64_t size_bytes(sim::ThreadCtx& ctx, hw::PmemNamespace& ns,
                                   std::uint64_t off);
 
-  // Sorted iteration: fn(key, value, tombstone).
-  static void for_each(sim::ThreadCtx& ctx, hw::PmemNamespace& ns,
-                       std::uint64_t off,
-                       const std::function<void(std::string_view,
-                                                std::string_view, bool)>& fn);
+  // Sorted walk over one table (§5.1: read sequentially, in large
+  // XPLine-aligned bursts, at full MLP). build() writes entries back to
+  // back in key order, so the cursor streams the data area front to back
+  // in bursts of at most kBurst bytes without touching the offset array;
+  // each burst is one sequential load pipelined at streaming MLP even on
+  // a latency-bound thread (the LineReader::load_run precedent). Bursts
+  // end on XPLine boundaries and never extend past the table's last byte,
+  // so a read never touches a neighbouring allocation's lines: a poisoned
+  // line inside the table throws hw::MediaError, one past it does not.
+  //
+  // Usage: Cursor c(ctx, ns, off); for (c.seek(ctx, ""); c.valid();
+  // c.next(ctx)) use(c.key(), c.value(), c.tombstone());
+  // Views are valid until the next next()/seek().
+  class Cursor {
+   public:
+    static constexpr std::size_t kBurst = 4096;
+
+    // Loads the table header; not positioned until seek(). `res` (the
+    // table's DRAM residency, optional) spares seek() the offset loads.
+    Cursor(sim::ThreadCtx& ctx, hw::PmemNamespace& ns, std::uint64_t off,
+           const Residency* res = nullptr);
+
+    // Position at the first entry with key >= `key`: a binary search over
+    // the offset array with dependent probe loads, then streaming from
+    // there. seek("") starts at the first entry without probing.
+    void seek(sim::ThreadCtx& ctx, std::string_view key);
+    void next(sim::ThreadCtx& ctx);
+
+    bool valid() const { return idx_ < count_; }
+    std::uint32_t count() const { return count_; }
+    std::string_view key() const { return {at(pos_ + 8), klen_}; }
+    std::string_view value() const { return {at(pos_ + 8 + klen_), vlen_}; }
+    bool tombstone() const { return tomb_; }
+
+   private:
+    const char* at(std::uint64_t p) const {
+      return reinterpret_cast<const char*>(buf_.data() + (p - buf_lo_));
+    }
+    // Parse the entry at pos_, streaming in whatever it needs. An entry
+    // that claims bytes past the table's end ends the walk (Db::check
+    // reports the short count).
+    void decode(sim::ThreadCtx& ctx);
+    // Stage [p, p + len) (p >= buf_lo_), loading forward in bursts.
+    void stage(sim::ThreadCtx& ctx, std::uint64_t p, std::uint64_t len);
+
+    hw::PmemNamespace* ns_;
+    const Residency* res_;
+    std::uint32_t count_ = 0;
+    std::uint32_t idx_ = 0;
+    std::uint64_t offsets_at_ = 0;
+    std::uint64_t data_at_ = 0;
+    std::uint64_t end_ = 0;  // one past the table's last byte
+    std::uint64_t pos_ = 0;  // current entry
+    std::uint32_t klen_ = 0;
+    std::uint32_t vlen_ = 0;
+    bool tomb_ = false;
+    std::vector<std::uint8_t> buf_;  // staged bytes [buf_lo_, buf_lo_ + size)
+    std::uint64_t buf_lo_ = 0;
+  };
 
  private:
   struct Header {

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -28,6 +29,11 @@ struct DiffCfg {
   workload::StoreTuning tuning{};
   unsigned shards = 1;  // > 1: run through the sharded frontend
 };
+
+// Without this gtest prints the param as a raw byte dump, which holds the
+// label's load address and struct padding, so the listed test names (and
+// ctest's names for them) changed with every relink.
+void PrintTo(const DiffCfg& cfg, std::ostream* os) { *os << cfg.label; }
 
 // 48 keys, all <= 16 bytes (stree caps at 31): small enough that every
 // op sequence revisits keys and exercises overwrite/delete/reinsert.

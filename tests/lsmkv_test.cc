@@ -3,11 +3,17 @@
 // recovery and the Fig 8 strategy-inversion shape.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <map>
+#include <random>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "lsmkv/bloom.h"
 #include "lsmkv/db.h"
+#include "telemetry/registry.h"
 #include "xpsim/platform.h"
 
 namespace xp::kv {
@@ -145,7 +151,7 @@ TEST(SsTableTest, TombstonesReported) {
   EXPECT_EQ(SsTable::get(t, ns, 0, key_of(2), &v), FindResult::kFound);
 }
 
-TEST(SsTableTest, ForEachIteratesInOrder) {
+TEST(SsTableTest, CursorIteratesInOrder) {
   Platform platform;
   PmemNamespace& ns = platform.optane(64 << 20);
   ThreadCtx t = make_thread();
@@ -154,12 +160,22 @@ TEST(SsTableTest, ForEachIteratesInOrder) {
                                                   false});
   SsTable::build(t, ns, 0, entries);
   std::vector<std::string> keys;
-  SsTable::for_each(t, ns, 0,
-                    [&](std::string_view k, std::string_view, bool) {
-                      keys.emplace_back(k);
-                    });
+  SsTable::Cursor c(t, ns, 0);
+  for (c.seek(t, ""); c.valid(); c.next(t)) {
+    EXPECT_EQ(c.value(), value_of(static_cast<int>(keys.size())));
+    keys.emplace_back(c.key());
+  }
   ASSERT_EQ(keys.size(), 20u);
   EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
+  // seek() lands on the first key >= the target, present or not.
+  c.seek(t, key_of(7));
+  ASSERT_TRUE(c.valid());
+  EXPECT_EQ(c.key(), key_of(7));
+  c.seek(t, key_of(7) + "~");
+  ASSERT_TRUE(c.valid());
+  EXPECT_EQ(c.key(), key_of(8));
+  c.seek(t, "zzz");
+  EXPECT_FALSE(c.valid());
 }
 
 TEST(SsTableTest, SurvivesCrash) {
@@ -429,6 +445,259 @@ INSTANTIATE_TEST_SUITE_P(
         DbParam{WalMode::kFlex, MemtableMode::kVolatile, "flex"},
         DbParam{WalMode::kNone, MemtableMode::kPersistent, "pskip"}),
     [](const auto& info) { return info.param.name; });
+
+// ------------------------------------------------- streaming compaction --
+// Compaction and scans stream every run through SsTable::Cursor into one
+// newest-wins merge. These tests pin its results against a std::map model
+// and its read discipline on the device: sequential bursts, never past a
+// table's last byte.
+
+using Model = std::map<std::string, std::string>;
+
+// Value sizes around the XPLine (256 B) and burst (4 KB) boundaries, so
+// entries straddle both; 9000 B spans several bursts.
+std::string sized_value(std::mt19937_64& rng, int tag) {
+  static constexpr std::size_t kSizes[] = {0,    1,    100,  240,  250,
+                                           256,  262,  4080, 4090, 4096,
+                                           4100, 9000};
+  std::string v(kSizes[rng() % std::size(kSizes)], '\0');
+  for (std::size_t i = 0; i < v.size(); ++i)
+    v[i] = static_cast<char>('a' + (tag + i) % 26);
+  return v;
+}
+
+void expect_matches(ThreadCtx& t, Db& db, const Model& model, int nkeys,
+                    std::mt19937_64& rng) {
+  ASSERT_TRUE(db.check(t).ok()) << db.check(t).to_string();
+  std::string v;
+  for (int k = 0; k < nkeys; ++k) {
+    const auto it = model.find(key_of(k));
+    ASSERT_EQ(db.get(t, key_of(k), &v), it != model.end()) << k;
+    if (it != model.end()) {
+      ASSERT_EQ(v, it->second) << k;
+    }
+  }
+  for (int s = 0; s < 8; ++s) {
+    const std::string start =
+        s == 0 ? "" : key_of(static_cast<int>(rng() % (nkeys + 1)));
+    const std::size_t n = rng() % 40;
+    std::vector<std::pair<std::string, std::string>> want;
+    for (auto it = model.lower_bound(start);
+         it != model.end() && want.size() < n; ++it)
+      want.emplace_back(*it);
+    ASSERT_EQ(db.scan(t, start, n), want) << start << " n=" << n;
+  }
+}
+
+// (background_compaction, read-path knobs: residency makes seek() use the
+// resident offset array).
+class StreamingCompaction
+    : public ::testing::TestWithParam<std::tuple<bool, bool>> {
+ protected:
+  DbOptions make_opts() const {
+    DbOptions o;
+    o.memtable_bytes = 1 << 20;  // flushes happen where the test asks
+    o.wal_capacity = 8 << 20;
+    o.background_compaction = std::get<0>(GetParam());
+    o.sst_residency = std::get<1>(GetParam());
+    o.read_combine = std::get<1>(GetParam());
+    return o;
+  }
+  // One flush, then (background mode) the turn that runs any pending merge.
+  void flush(ThreadCtx& t, Db& db) {
+    db.flush(t);
+    if (db.options().background_compaction) db.background_work(t);
+  }
+};
+
+TEST_P(StreamingCompaction, MatchesModelAcrossRandomRunSets) {
+  constexpr int kKeys = 60;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Platform platform;
+    PmemNamespace& ns = platform.optane(256 << 20);
+    ThreadCtx t = make_thread();
+    Db db(ns, make_opts());
+    db.create(t);
+    std::mt19937_64 rng(seed);
+    Model model;
+    std::uint64_t compactions = 0;
+    for (int round = 0; round < 24; ++round) {
+      // Every 5th run holds a single entry; the rest mix overwrites of
+      // keys already in older runs (duplicates across levels) and deletes.
+      const int ops = round % 5 == 0 ? 1 : 1 + static_cast<int>(rng() % 30);
+      for (int i = 0; i < ops; ++i) {
+        const std::string k = key_of(static_cast<int>(rng() % kKeys));
+        if (rng() % 4 == 0) {
+          db.del(t, k);
+          model.erase(k);
+        } else {
+          const std::string v = sized_value(rng, round * 100 + i);
+          db.put(t, k, v);
+          model[k] = v;
+        }
+      }
+      // Memtable over runs first, then runs alone after any merge.
+      ASSERT_NO_FATAL_FAILURE(expect_matches(t, db, model, kKeys, rng));
+      flush(t, db);
+      if (db.stats().compactions != compactions) {
+        compactions = db.stats().compactions;
+        ASSERT_NO_FATAL_FAILURE(expect_matches(t, db, model, kKeys, rng));
+      }
+    }
+    EXPECT_GE(compactions, 5u);
+  }
+}
+
+TEST_P(StreamingCompaction, AllTombstoneInputLeavesNoRun) {
+  Platform platform;
+  PmemNamespace& ns = platform.optane(256 << 20);
+  ThreadCtx t = make_thread();
+  Db db(ns, make_opts());
+  db.create(t);
+  std::mt19937_64 rng(7);
+  const Model empty;
+  // Tombstones for keys that never existed: the merge has nothing to emit.
+  for (int r = 0; r < 4; ++r) {
+    for (int i = 0; i < 5; ++i) db.del(t, key_of(r * 5 + i));
+    flush(t, db);
+  }
+  EXPECT_EQ(db.stats().compactions, 1u);
+  EXPECT_TRUE(db.runs(t).empty());
+  ASSERT_NO_FATAL_FAILURE(expect_matches(t, db, empty, 20, rng));
+
+  // Live L1, then runs deleting every key of it (some twice).
+  for (int r = 0; r < 4; ++r) {
+    for (int i = 0; i < 5; ++i) db.put(t, key_of(r * 5 + i), value_of(i));
+    flush(t, db);
+  }
+  ASSERT_EQ(db.runs(t).size(), 1u);
+  for (int r = 0; r < 4; ++r) {
+    for (int i = 0; i < 20; i += 1 + r) db.del(t, key_of(i));
+    flush(t, db);
+  }
+  EXPECT_EQ(db.stats().compactions, 3u);
+  EXPECT_TRUE(db.runs(t).empty());
+  ASSERT_NO_FATAL_FAILURE(expect_matches(t, db, empty, 20, rng));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, StreamingCompaction,
+    ::testing::Combine(::testing::Bool(), ::testing::Bool()),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param) ? "background" : "inline") +
+             (std::get<1>(info.param) ? "_readpath" : "_plain");
+    });
+
+// A background-compaction Db holding one L1 run plus four L0 runs, the
+// next merge pending. Returns the model of what it holds.
+Model pending_merge(ThreadCtx& t, Db& db) {
+  Model model;
+  for (int round = 0; round < 8; ++round) {
+    for (int i = 0; i < 200; ++i) {
+      const std::string k = key_of((round * 131 + i * 7) % 1000);
+      db.put(t, k, value_of(round * 1000 + i));
+      model[k] = value_of(round * 1000 + i);
+    }
+    db.flush(t);
+    if (round == 3) {
+      EXPECT_TRUE(db.background_work(t));
+    }
+  }
+  EXPECT_TRUE(db.compaction_pending());
+  EXPECT_EQ(db.runs(t).size(), 5u);
+  return model;
+}
+
+DbOptions background_opts() {
+  DbOptions o;
+  o.memtable_bytes = 1 << 20;
+  o.wal_capacity = 8 << 20;
+  o.background_compaction = true;
+  return o;
+}
+
+TEST(StreamingCompactionDevice, LoadsStayWithinInputLines) {
+  Platform platform;
+  PmemNamespace& ns = platform.optane(256 << 20);
+  ThreadCtx t = make_thread();
+  Db db(ns, background_opts());
+  db.create(t);
+  pending_merge(t, db);
+  std::uint64_t input_bytes = 0;
+  for (const Db::RunInfo& r : db.runs(t)) input_bytes += r.size;
+
+  const auto before = telemetry::Snapshot::capture(platform);
+  ASSERT_TRUE(db.background_work(t));
+  const hw::CacheCounters c =
+      (telemetry::Snapshot::capture(platform) - before).cache_total();
+  // One 64 B load per input line plus a small constant per table (header,
+  // burst edges, manifest and free-list metadata). Per-entry loads (offset
+  // word, lengths, key, value) would need about three times this.
+  constexpr std::uint64_t kPerTable = 16;
+  EXPECT_LE(c.load_hits + c.load_misses, input_bytes / 64 + kPerTable * 5);
+}
+
+// The pool prefix (header, lanes, manifest backup) and the primary
+// manifest, as the durable image holds them.
+std::vector<std::uint8_t> manifest_image(ThreadCtx& t, PmemNamespace& ns,
+                                         Db& db) {
+  const std::uint64_t root = db.pool().root(t);
+  const std::uint64_t root_size = db.pool().root_size(t);
+  std::vector<std::uint8_t> img(pmem::Pool::heap_base() + root_size);
+  ns.peek(0, std::span<std::uint8_t>(img.data(), pmem::Pool::heap_base()));
+  ns.peek(root, std::span<std::uint8_t>(img.data() + pmem::Pool::heap_base(),
+                                        root_size));
+  return img;
+}
+
+TEST(StreamingCompactionDevice, PoisonInsideInputThrowsAndKeepsManifest) {
+  Platform platform;
+  PmemNamespace& ns = platform.optane(256 << 20);
+  ThreadCtx t = make_thread();
+  Db db(ns, background_opts());
+  db.create(t);
+  pending_merge(t, db);
+  const auto runs = db.runs(t);
+  const auto l1 = std::find_if(runs.begin(), runs.end(),
+                               [](const auto& r) { return r.level == 1; });
+  ASSERT_NE(l1, runs.end());
+  platform.poison_line(ns, l1->off + l1->size / 2);
+  const auto img = manifest_image(t, ns, db);
+
+  EXPECT_THROW(db.background_work(t), hw::MediaError);
+  EXPECT_EQ(manifest_image(t, ns, db), img);
+  const auto after = db.runs(t);
+  ASSERT_EQ(after.size(), runs.size());
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    EXPECT_EQ(after[i].off, runs[i].off);
+    EXPECT_EQ(after[i].size, runs[i].size);
+  }
+}
+
+TEST(StreamingCompactionDevice, PoisonPastInputEndIsNeverRead) {
+  Platform platform;
+  PmemNamespace& ns = platform.optane(256 << 20);
+  ThreadCtx t = make_thread();
+  Db db(ns, background_opts());
+  db.create(t);
+  const Model model = pending_merge(t, db);
+  const auto runs = db.runs(t);
+  std::uint64_t end = 0;
+  for (const Db::RunInfo& r : runs) end = std::max(end, r.off + r.size);
+  const std::uint64_t line = (end + 255) / 256 * 256;
+  for (const Db::RunInfo& r : runs)
+    ASSERT_TRUE(line >= r.off + r.size || line + 256 <= r.off);
+  platform.poison_line(ns, line);
+
+  ASSERT_TRUE(db.background_work(t));
+  ASSERT_EQ(db.runs(t).size(), 1u);
+  ASSERT_TRUE(db.check(t).ok());
+  std::string v;
+  for (const auto& [k, want] : model) {
+    ASSERT_TRUE(db.get(t, k, &v)) << k;
+    EXPECT_EQ(v, want) << k;
+  }
+}
 
 // ---- Fig 8 anchor -------------------------------------------------------
 double set_throughput(hw::Device device, WalMode wal, MemtableMode mem) {
