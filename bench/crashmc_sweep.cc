@@ -13,6 +13,10 @@
 // a typed error, never silent corruption. --checksums turns on the
 // optional WAL/log record checksums for the stores that have them.
 //
+// --store NAME runs one target: a panel store, or one of the rows
+// outside the default panel (lsmkv-posix, sharded-lsmkv,
+// resilient-lsmkv).
+//
 // Usage: crashmc_sweep [--points N] [--seed S] [--store NAME] [--trace F]
 //                      [--faults] [--poison-points N] [--checksums]
 #include <cstdio>
@@ -114,6 +118,14 @@ int main(int argc, char** argv) {
   xp::telemetry::TraceWriter writer;
   CrashTraceSink sink(&writer);
 
+  // The default panel; a named store may also be one of the extra rows.
+  // Checksums are a fault-campaign option: crash sweeps run stock formats.
+  const bool cs = faults && checksums;
+  auto targets = xp::crashmc::all_targets(cs);
+  if (!only.empty())
+    for (auto& t : xp::crashmc::extra_targets(cs))
+      targets.push_back(std::move(t));
+
   if (faults) {
     xp::crashmc::FaultOptions fopts;
     fopts.max_exhaustive = points;
@@ -133,7 +145,7 @@ int main(int argc, char** argv) {
 
     bool failed = false;
     std::uint64_t total_points = 0;
-    for (auto& target : xp::crashmc::all_targets(checksums)) {
+    for (auto& target : targets) {
       if (!only.empty() && target->name() != only) continue;
       if (fopts.sink) sink.begin_store(target->name());
       const xp::crashmc::FaultResult r =
@@ -185,7 +197,7 @@ int main(int argc, char** argv) {
 
   bool failed = false;
   std::uint64_t total_points = 0;
-  for (auto& target : xp::crashmc::all_targets()) {
+  for (auto& target : targets) {
     if (!only.empty() && target->name() != only) continue;
     if (opts.sink) sink.begin_store(target->name());
     const xp::crashmc::Result r = xp::crashmc::explore(*target, opts);

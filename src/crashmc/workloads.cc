@@ -1,11 +1,14 @@
 #include "crashmc/workloads.h"
 
+#include <algorithm>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 
-#include "lsmkv/db.h"
+#include "lsmkv/common.h"
 #include "novafs/novafs.h"
 #include "pmemkv/cmap.h"
 #include "pmemkv/stree.h"
@@ -150,170 +153,6 @@ class PmemlibTarget final : public Target {
   std::uint64_t attempted_[kSlots] = {};
 };
 
-// --------------------------------------------------------------- lsmkv --
-
-// Every operation is WAL-synced before it returns, so the recovered
-// logical state (over the whole key universe) must byte-match the state
-// before or after the single in-flight operation. Small memtable and a
-// low L0 trigger pull flushes and a compaction into the crash window.
-class LsmkvTarget final : public Target {
- public:
-  LsmkvTarget(kv::WalMode mode, bool wal_checksum, bool group_commit)
-      : mode_(mode), wal_checksum_(wal_checksum),
-        group_commit_(group_commit) {}
-
-  std::string name() const override {
-    std::string n = mode_ == kv::WalMode::kPosix ? "lsmkv-posix"
-                                                 : "lsmkv-flex";
-    if (group_commit_) n += "-group";
-    return n;
-  }
-
-  hw::Platform& reset() override {
-    platform_ = std::make_unique<hw::Platform>();
-    ns_ = &platform_->optane(32 << 20);
-    opts_ = kv::DbOptions{};
-    opts_.wal = mode_;
-    opts_.wal_checksum = wal_checksum_;
-    opts_.memtable = kv::MemtableMode::kVolatile;
-    opts_.wal_capacity = 1 << 20;
-    opts_.memtable_bytes = 512;
-    opts_.l0_compaction_trigger = 2;
-    opts_.sync_every_op = true;
-    opts_.wal_group_commit = group_commit_;
-    db_ = std::make_unique<kv::Db>(*ns_, opts_);
-    sim::ThreadCtx ctx = make_thread(0);
-    db_->create(ctx);
-    prev_.clear();
-    cur_.clear();
-    history_.clear();
-    platform_->reset_timing();
-    return *platform_;
-  }
-
-  hw::PmemNamespace& nspace() override { return *ns_; }
-
-  void run() override {
-    sim::ThreadCtx ctx = make_thread(0);
-    sim::Rng rng(11);
-    if (group_commit_) {
-      // Batched mode: the acknowledged unit is a put_batch group. A crash
-      // anywhere inside the group must roll back to the previous group
-      // boundary — the group appears atomically or not at all — so the
-      // model state advances a whole batch at a time. Groups coalesce
-      // several records into one persist burst, so run 2x the ops to keep
-      // the crash-point count comparable to the per-record target.
-      const unsigned ops = 2 * kOps;
-      for (unsigned op = 0; op < ops;) {
-        const unsigned batch = std::min<unsigned>(
-            ops - op, 1 + static_cast<unsigned>(rng.uniform(3)));
-        prev_ = cur_;
-        std::vector<std::string> keys(batch), vals(batch);
-        std::vector<kv::WalRecord> recs(batch);
-        for (unsigned i = 0; i < batch; ++i, ++op) {
-          keys[i] = "key" + std::to_string(rng.uniform(kKeys));
-          if (rng.uniform(4) == 0 && cur_.count(keys[i]) != 0) {
-            cur_.erase(keys[i]);
-            recs[i] = {keys[i], {}, /*tombstone=*/true};
-          } else {
-            vals[i] = keys[i] + "#" + std::to_string(op) +
-                      std::string(4 + rng.uniform(16),
-                                  'a' + static_cast<char>(op % 26));
-            cur_[keys[i]] = vals[i];
-            history_[keys[i]].insert(vals[i]);
-            recs[i] = {keys[i], vals[i], false};
-          }
-        }
-        db_->put_batch(ctx, recs);
-      }
-      return;
-    }
-    for (unsigned op = 0; op < kOps; ++op) {
-      const std::string key = "key" + std::to_string(rng.uniform(kKeys));
-      prev_ = cur_;
-      if (rng.uniform(4) == 0 && cur_.count(key) != 0) {
-        cur_.erase(key);
-        db_->del(ctx, key);
-      } else {
-        const std::string val =
-            key + "#" + std::to_string(op) +
-            std::string(4 + rng.uniform(16), 'a' + static_cast<char>(op % 26));
-        cur_[key] = val;
-        history_[key].insert(val);
-        db_->put(ctx, key, val);
-      }
-    }
-  }
-
-  std::string recover_and_check() override {
-    sim::ThreadCtx ctx = make_thread(5);
-    kv::Db db(*ns_, opts_);
-    if (!db.open(ctx)) return "open() found no valid database";
-    if (Status st = db.check(ctx); !st.ok()) return st.to_string();
-    std::map<std::string, std::string> got;
-    for (unsigned k = 0; k < kKeys; ++k) {
-      const std::string key = "key" + std::to_string(k);
-      std::string v;
-      if (db.get(ctx, key, &v)) got[key] = v;
-    }
-    if (got != prev_ && got != cur_)
-      return "recovered state matches neither the pre-op nor the post-op "
-             "state (" +
-             std::to_string(got.size()) + " live keys)";
-    return "";
-  }
-
-  std::string repair_and_check() override {
-    sim::ThreadCtx ctx = make_thread(5);
-    kv::Db db(*ns_, opts_);
-    bool opened = false;
-    try {
-      opened = db.open(ctx);
-    } catch (const hw::MediaError&) {
-      // Unreadable critical metadata even after the built-in fallbacks: a
-      // typed, reported total loss — the contract forbids only *silent*
-      // corruption. Nothing left to verify.
-      return "";
-    }
-    if (!opened) return "";  // reported total loss (backup invalid too)
-    db.repair(ctx);
-    if (Status st = db.check(ctx); !st.ok()) return st.to_string();
-    std::map<std::string, std::string> got;
-    for (unsigned k = 0; k < kKeys; ++k) {
-      const std::string key = "key" + std::to_string(k);
-      std::string v;
-      if (db.get(ctx, key, &v)) got[key] = v;
-    }
-    if (got == prev_ || got == cur_) return "";
-    if (!db.recovery().damaged() && !db.pool().recovery().damaged())
-      return "silent corruption: recovered state diverges from the pre-/"
-             "post-op states with no damage reported";
-    // Reported loss may drop committed records, but every surviving value
-    // must be one this key actually held.
-    for (const auto& [key, val] : got) {
-      const auto it = history_.find(key);
-      if (it == history_.end() || it->second.count(val) == 0)
-        return "silent corruption: key " + key + " holds a never-written "
-               "value";
-    }
-    return "";
-  }
-
- private:
-  static constexpr unsigned kKeys = 8;
-  static constexpr unsigned kOps = 48;
-
-  kv::WalMode mode_;
-  bool wal_checksum_;
-  bool group_commit_;
-  std::unique_ptr<hw::Platform> platform_;
-  hw::PmemNamespace* ns_ = nullptr;
-  kv::DbOptions opts_;
-  std::unique_ptr<kv::Db> db_;
-  std::map<std::string, std::string> prev_, cur_;
-  std::map<std::string, std::set<std::string>> history_;
-};
-
 // -------------------------------------------------------------- novafs --
 
 // Single-page writes (embedded and CoW), page-aligned truncates and
@@ -423,17 +262,7 @@ class NovafsTarget final : public Target {
     nova::NovaFs fs(*ns_, opt_);
     if (!fs.mount(ctx)) return "mount() found no valid file system";
     if (Status st = fs.fsck(ctx); !st.ok()) return st.to_string();
-    std::map<std::string, std::string> got;
-    for (const char* name : {"alpha", "beta", "gamma"}) {
-      const int ino = fs.open(ctx, name);
-      if (ino < 0) continue;
-      const std::uint64_t size = fs.size(ctx, ino);
-      std::string content(size, '\0');
-      fs.read(ctx, ino, 0,
-              std::span<std::uint8_t>(
-                  reinterpret_cast<std::uint8_t*>(content.data()), size));
-      got[name] = std::move(content);
-    }
+    const std::map<std::string, std::string> got = read_files(fs, ctx);
     if (got != prev_ && got != cur_)
       return "recovered file set matches neither the pre-op nor the "
              "post-op state";
@@ -452,17 +281,7 @@ class NovafsTarget final : public Target {
     if (!mounted) return "";  // both superblock copies gone: reported loss
     fs.repair(ctx);
     if (Status st = fs.fsck(ctx); !st.ok()) return st.to_string();
-    std::map<std::string, std::string> got;
-    for (const char* name : {"alpha", "beta", "gamma"}) {
-      const int ino = fs.open(ctx, name);
-      if (ino < 0) continue;
-      const std::uint64_t size = fs.size(ctx, ino);
-      std::string content(size, '\0');
-      fs.read(ctx, ino, 0,
-              std::span<std::uint8_t>(
-                  reinterpret_cast<std::uint8_t*>(content.data()), size));
-      got[name] = std::move(content);
-    }
+    const std::map<std::string, std::string> got = read_files(fs, ctx);
     if (got == prev_ || got == cur_) return "";
     // Repair may legally drop overlays/log suffixes (older committed
     // bytes resurface) — but only as *reported* damage.
@@ -474,6 +293,22 @@ class NovafsTarget final : public Target {
 
  private:
   static constexpr unsigned kOps = 28;
+
+  static std::map<std::string, std::string> read_files(nova::NovaFs& fs,
+                                                       sim::ThreadCtx& ctx) {
+    std::map<std::string, std::string> got;
+    for (const char* name : {"alpha", "beta", "gamma"}) {
+      const int ino = fs.open(ctx, name);
+      if (ino < 0) continue;
+      const std::uint64_t size = fs.size(ctx, ino);
+      std::string content(size, '\0');
+      fs.read(ctx, ino, 0,
+              std::span<std::uint8_t>(
+                  reinterpret_cast<std::uint8_t*>(content.data()), size));
+      got[name] = std::move(content);
+    }
+    return got;
+  }
 
   void write_model(const std::string& name, std::uint64_t off,
                    std::uint64_t len, char fill) {
@@ -491,263 +326,94 @@ class NovafsTarget final : public Target {
   std::map<std::string, std::string> prev_, cur_;
 };
 
-// ---------------------------------------------------------------- cmap --
+// ------------------------------------------------------------------ KV --
 
-// Values stay short enough (header + key + value inside one 64 B line)
-// that the in-place update path is a single-line atomic persist; length
-// changes exercise the transactional insert path and removes the
-// transactional unlink. Recovered state is pre- or post-op.
-class CmapTarget final : public Target {
- public:
-  std::string name() const override { return "pmemkv-cmap"; }
+// One KV workload as a row of data, run by KvTarget against any
+// StoreIface: a single-family adapter or a ShardedStore.
+struct KvRow {
+  static constexpr unsigned kNever = ~0u;
 
-  hw::Platform& reset() override {
-    platform_ = std::make_unique<hw::Platform>();
-    ns_ = &platform_->optane(8 << 20);
-    pool_ = std::make_unique<pmem::Pool>(*ns_);
-    sim::ThreadCtx ctx = make_thread(0);
-    pool_->create(ctx, 64);
-    map_ = std::make_unique<pmemkv::CMap>(*pool_);
-    map_->create(ctx);
-    prev_.clear();
-    cur_.clear();
-    history_.clear();
-    platform_->reset_timing();
-    return *platform_;
-  }
-
-  hw::PmemNamespace& nspace() override { return *ns_; }
-
-  void run() override {
-    sim::ThreadCtx ctx = make_thread(0);
-    sim::Rng rng(17);
-    for (unsigned op = 0; op < kOps; ++op) {
-      const std::string key = "k" + std::to_string(rng.uniform(kKeys));
-      prev_ = cur_;
-      if (rng.uniform(5) == 0 && cur_.count(key) != 0) {
-        cur_.erase(key);
-        map_->remove(ctx, key);
-      } else {
-        // Two sizes: matching size -> in-place update, differing size ->
-        // transactional replace.
-        const std::size_t len = rng.uniform(2) == 0 ? 8 : 24;
-        std::string val = key + "#" + std::to_string(op);
-        val.resize(len, 'x');
-        cur_[key] = val;
-        history_[key].insert(val);
-        map_->put(ctx, key, val);
-      }
-    }
-  }
-
-  std::string recover_and_check() override {
-    sim::ThreadCtx ctx = make_thread(5);
-    pmem::Pool pool(*ns_);
-    if (!pool.open(ctx)) return "open() found no valid pool";
-    if (Status st = pool.check(ctx); !st.ok()) return st.to_string();
-    pmemkv::CMap map(pool);
-    map.open(ctx);
-    if (Status st = map.check(ctx); !st.ok()) return st.to_string();
-    std::map<std::string, std::string> got;
-    for (unsigned k = 0; k < kKeys; ++k) {
-      const std::string key = "k" + std::to_string(k);
-      std::string v;
-      if (map.get(ctx, key, &v)) got[key] = v;
-    }
-    if (got != prev_ && got != cur_)
-      return "recovered map matches neither the pre-op nor the post-op "
-             "state";
-    return "";
-  }
-
-  std::string repair_and_check() override {
-    sim::ThreadCtx ctx = make_thread(5);
-    pmem::Pool pool(*ns_);
-    if (!pool.open(ctx)) return "";  // reported total loss
-    pmemkv::CMap map(pool);
-    try {
-      map.open(ctx);
-    } catch (const hw::MediaError&) {
-      // The root pointer to the bucket table is gone: reported total
-      // loss. Scrub so the namespace is at least readable again.
-      pool.repair(ctx);
-      return "";
-    }
-    map.repair(ctx);   // quarantine chain damage, then scrub
-    pool.repair(ctx);  // revalidate the free list over the scrubbed lines
-    if (Status st = pool.check(ctx); !st.ok()) return st.to_string();
-    if (Status st = map.check(ctx); !st.ok()) return st.to_string();
-    std::map<std::string, std::string> got;
-    for (unsigned k = 0; k < kKeys; ++k) {
-      const std::string key = "k" + std::to_string(k);
-      std::string v;
-      if (map.get(ctx, key, &v)) got[key] = v;
-    }
-    if (got == prev_ || got == cur_) return "";
-    if (!map.recovery().damaged() && !pool.recovery().damaged())
-      return "silent corruption: recovered map diverges from the pre-/"
-             "post-op states with no damage reported";
-    for (const auto& [key, val] : got) {
-      const auto it = history_.find(key);
-      if (it == history_.end() || it->second.count(val) == 0)
-        return "silent corruption: key " + key + " holds a never-written "
-               "value";
-    }
-    return "";
-  }
-
- private:
-  static constexpr unsigned kKeys = 12;
-  static constexpr unsigned kOps = 40;
-
-  std::unique_ptr<hw::Platform> platform_;
-  hw::PmemNamespace* ns_ = nullptr;
-  std::unique_ptr<pmem::Pool> pool_;
-  std::unique_ptr<pmemkv::CMap> map_;
-  std::map<std::string, std::string> prev_, cur_;
-  std::map<std::string, std::set<std::string>> history_;
+  std::string name;
+  // 1: one interleaved namespace; N > 1: one per-DIMM namespace each.
+  unsigned shards = 1;
+  std::uint64_t ns_bytes = 8 << 20;
+  std::function<std::unique_ptr<workload::StoreIface>(
+      std::span<hw::PmemNamespace* const>)>
+      make;
+  std::uint64_t seed = 0;
+  // Key universe: key_prefix + index zero-padded to key_width digits.
+  const char* key_prefix = "key";
+  unsigned key_width = 0;
+  unsigned keys = 8;
+  // Records written (each record of a batch counts).
+  unsigned ops = 0;
+  // A record deletes its key with probability 1/del_one_in if it is live.
+  unsigned del_one_in = 4;
+  std::string (*value)(const std::string& key, unsigned op,
+                       sim::Rng& rng) = nullptr;
+  // An op is a batch of batch_min + uniform(batch_span) records with
+  // probability 1/batch_one_in (1: always, 0: never).
+  unsigned batch_one_in = 0;
+  unsigned batch_min = 1;
+  unsigned batch_span = 0;
+  // bg_turns donated background turns after every bg_every-th op.
+  unsigned bg_every = 0;
+  unsigned bg_turns = 0;
+  // Read each single op's key back (a frontend's read-error budget).
+  bool read_back = false;
+  // Before this op, 3 seeded poison lines land in the first namespace.
+  unsigned poison_at = kNever;
+  // Recoveries per check; 2 also requires recovering a recovered image
+  // to be a fixed point.
+  unsigned recovery_rounds = 1;
 };
 
-// --------------------------------------------------------------- stree --
+// key#op plus Span-bounded filler: records of varying length.
+template <unsigned Span>
+std::string filler_value(const std::string& key, unsigned op, sim::Rng& rng) {
+  return key + "#" + std::to_string(op) +
+         std::string(4 + rng.uniform(Span), 'a' + static_cast<char>(op % 26));
+}
 
-// Enough keys to force leaf splits (transactional); inserts commit via
-// the bitmap persist, updates via the val_off persist, removes via the
-// bitmap persist — all atomic, so recovered state is pre- or post-op.
-class StreeTarget final : public Target {
+// Header + key + value inside one 64 B line: a matching size updates in
+// place (one atomic line persist), a differing size replaces
+// transactionally.
+std::string cmap_value(const std::string& key, unsigned op, sim::Rng& rng) {
+  const std::size_t len = rng.uniform(2) == 0 ? 8 : 24;
+  std::string val = key + "#" + std::to_string(op);
+  val.resize(len, 'x');
+  return val;
+}
+
+std::string stree_value(const std::string& key, unsigned op, sim::Rng& rng) {
+  return key + "=" + std::to_string(op) + std::string(rng.uniform(12), 'v');
+}
+
+// Every record is acknowledged durable when its op returns (each row's
+// store syncs per op or per batch), so the recovered state must be the
+// state before or after the in-flight op. The model is per shard: a
+// batch commits atomically per shard slice, not across shards, so each
+// shard's restriction of the recovered state is checked on its own; with
+// one shard this is the whole-store pre/post check.
+class KvTarget final : public Target {
  public:
-  std::string name() const override { return "pmemkv-stree"; }
+  explicit KvTarget(KvRow row) : row_(std::move(row)) {}
+
+  std::string name() const override { return row_.name; }
 
   hw::Platform& reset() override {
     platform_ = std::make_unique<hw::Platform>();
-    ns_ = &platform_->optane(8 << 20);
-    pool_ = std::make_unique<pmem::Pool>(*ns_);
-    sim::ThreadCtx ctx = make_thread(0);
-    pool_->create(ctx, 64);
-    tree_ = std::make_unique<pmemkv::STree>(*pool_);
-    tree_->create(ctx);
-    prev_.clear();
-    cur_.clear();
-    history_.clear();
-    platform_->reset_timing();
-    return *platform_;
-  }
-
-  hw::PmemNamespace& nspace() override { return *ns_; }
-
-  void run() override {
-    sim::ThreadCtx ctx = make_thread(0);
-    sim::Rng rng(19);
-    for (unsigned op = 0; op < kOps; ++op) {
-      char key[8];
-      std::snprintf(key, sizeof(key), "key%02u",
-                    static_cast<unsigned>(rng.uniform(kKeys)));
-      prev_ = cur_;
-      if (rng.uniform(6) == 0 && cur_.count(key) != 0) {
-        cur_.erase(key);
-        tree_->remove(ctx, key);
-      } else {
-        const std::string val =
-            std::string(key) + "=" + std::to_string(op) +
-            std::string(rng.uniform(12), 'v');
-        cur_[key] = val;
-        history_[key].insert(val);
-        tree_->put(ctx, key, val);
-      }
-    }
-  }
-
-  std::string recover_and_check() override {
-    sim::ThreadCtx ctx = make_thread(5);
-    pmem::Pool pool(*ns_);
-    if (!pool.open(ctx)) return "open() found no valid pool";
-    if (Status st = pool.check(ctx); !st.ok()) return st.to_string();
-    pmemkv::STree tree(pool);
-    tree.open(ctx);
-    if (Status st = tree.check(ctx); !st.ok()) return st.to_string();
-    std::map<std::string, std::string> got;
-    for (unsigned k = 0; k < kKeys; ++k) {
-      char key[8];
-      std::snprintf(key, sizeof(key), "key%02u", k);
-      std::string v;
-      if (tree.get(ctx, key, &v)) got[key] = v;
-    }
-    if (got != prev_ && got != cur_)
-      return "recovered tree matches neither the pre-op nor the post-op "
-             "state";
-    return "";
-  }
-
-  std::string repair_and_check() override {
-    sim::ThreadCtx ctx = make_thread(5);
-    pmem::Pool pool(*ns_);
-    if (!pool.open(ctx)) return "";  // reported total loss
-    pmemkv::STree tree(pool);
-    try {
-      tree.open(ctx);
-    } catch (const hw::MediaError&) {
-      // repair() below copes with a half-built index (it re-reads the
-      // root via the durable image once the damage is mapped).
-    }
-    tree.repair(ctx);  // quarantine chain damage, scrub, rebuild index
-    pool.repair(ctx);  // revalidate the free list over the scrubbed lines
-    if (Status st = pool.check(ctx); !st.ok()) return st.to_string();
-    if (Status st = tree.check(ctx); !st.ok()) return st.to_string();
-    std::map<std::string, std::string> got;
-    for (unsigned k = 0; k < kKeys; ++k) {
-      char key[8];
-      std::snprintf(key, sizeof(key), "key%02u", k);
-      std::string v;
-      if (tree.get(ctx, key, &v)) got[key] = v;
-    }
-    if (got == prev_ || got == cur_) return "";
-    if (!tree.recovery().damaged() && !pool.recovery().damaged())
-      return "silent corruption: recovered tree diverges from the pre-/"
-             "post-op states with no damage reported";
-    for (const auto& [key, val] : got) {
-      const auto it = history_.find(key);
-      if (it == history_.end() || it->second.count(val) == 0)
-        return "silent corruption: key " + key + " holds a never-written "
-               "value";
-    }
-    return "";
-  }
-
- private:
-  static constexpr unsigned kKeys = 48;
-  static constexpr unsigned kOps = 60;
-
-  std::unique_ptr<hw::Platform> platform_;
-  hw::PmemNamespace* ns_ = nullptr;
-  std::unique_ptr<pmem::Pool> pool_;
-  std::unique_ptr<pmemkv::STree> tree_;
-  std::map<std::string, std::string> prev_, cur_;
-  std::map<std::string, std::set<std::string>> history_;
-};
-
-// ------------------------------------------------------------- sharded --
-
-// ShardedStore over two per-DIMM lsmkv shards, write-combining and
-// deferred background compaction on. The workload mixes single-key
-// puts/deletes, cross-shard batched dispatches, and donated compaction
-// turns. Crash-atomicity is per (dispatch, shard): a shard's slice of a
-// batch is one WAL group burst, but the batch does not commit across
-// shards as a unit — so the model keeps per-shard pre/post states and
-// recovery is checked shard by shard.
-class ShardedTarget final : public Target {
- public:
-  std::string name() const override { return "sharded-lsmkv"; }
-
-  hw::Platform& reset() override {
-    platform_ = std::make_unique<hw::Platform>();
-    ns_ = workload::ShardedStore::make_namespaces(*platform_, kShards,
-                                                  16ull << 20);
-    store_ = std::make_unique<workload::ShardedStore>(ns_, shard_options());
+    if (row_.shards == 1)
+      ns_ = {&platform_->optane(row_.ns_bytes)};
+    else
+      ns_ = workload::ShardedStore::make_namespaces(*platform_, row_.shards,
+                                                    row_.ns_bytes);
+    store_ = row_.make(ns_);
     sim::ThreadCtx ctx = make_thread(0);
     store_->create(ctx);
-    for (unsigned s = 0; s < kShards; ++s) {
-      prev_[s].clear();
-      cur_[s].clear();
-    }
+    prev_.clear();
+    cur_.clear();
+    history_.clear();
     platform_->reset_timing();
     return *platform_;
   }
@@ -756,239 +422,163 @@ class ShardedTarget final : public Target {
 
   void run() override {
     sim::ThreadCtx ctx = make_thread(0);
-    sim::Rng rng(13);
-    for (unsigned op = 0; op < kOps; ++op) {
-      if (rng.uniform(3) == 0) {
-        // Cross-shard batched dispatch: 2-4 ops, partitioned by the
-        // router; each involved shard's slice commits atomically, and
-        // the shard's model state advances by the whole slice.
-        const unsigned n = 2 + static_cast<unsigned>(rng.uniform(3));
-        std::vector<workload::BatchOp> batch;
-        for (unsigned i = 0; i < n; ++i) {
-          workload::BatchOp b;
-          b.key = "key" + std::to_string(rng.uniform(kKeys));
-          const unsigned s = workload::shard_of(b.key, kShards);
-          b.del = rng.uniform(4) == 0 && cur_[s].count(b.key) != 0;
-          if (!b.del)
-            b.value = b.key + "#" + std::to_string(op) + "_" +
-                      std::string(4 + rng.uniform(12),
-                                  'a' + static_cast<char>(op % 26));
-          batch.push_back(std::move(b));
-        }
-        bool involved[kShards] = {};
-        for (const auto& b : batch)
-          involved[workload::shard_of(b.key, kShards)] = true;
-        for (unsigned s = 0; s < kShards; ++s)
-          if (involved[s]) prev_[s] = cur_[s];
-        for (const auto& b : batch) {
-          const unsigned s = workload::shard_of(b.key, kShards);
-          if (b.del)
-            cur_[s].erase(b.key);
-          else
-            cur_[s][b.key] = b.value;
-        }
-        store_->apply_batch(ctx, batch);
-      } else {
-        const std::string key = "key" + std::to_string(rng.uniform(kKeys));
-        const unsigned s = workload::shard_of(key, kShards);
-        prev_[s] = cur_[s];
-        if (rng.uniform(4) == 0 && cur_[s].count(key) != 0) {
-          cur_[s].erase(key);
-          store_->del(ctx, key);
-        } else {
-          const std::string val =
-              key + "#" + std::to_string(op) +
-              std::string(4 + rng.uniform(12),
-                          'a' + static_cast<char>(op % 26));
-          cur_[s][key] = val;
-          store_->put(ctx, key, val);
-        }
-      }
-      // Donate a compaction turn so crash points land inside deferred
-      // L0 merges too (a merge never changes the logical state).
-      if (op % 4 == 3) store_->background_turn(ctx);
-    }
-    store_->flush_pending(ctx);
-  }
-
-  std::string recover_and_check() override {
-    sim::ThreadCtx ctx = make_thread(5);
-    workload::ShardedStore store(ns_, shard_options());
-    if (!store.open(ctx)) return "sharded open() failed";
-    if (Status st = store.check(ctx); !st.ok()) return st.to_string();
-    std::map<std::string, std::string> got[kShards];
-    for (unsigned k = 0; k < kKeys; ++k) {
-      const std::string key = "key" + std::to_string(k);
-      std::string v;
-      if (store.get(ctx, key, &v))
-        got[workload::shard_of(key, kShards)][key] = v;
-    }
-    for (unsigned s = 0; s < kShards; ++s)
-      if (got[s] != prev_[s] && got[s] != cur_[s])
-        return "shard " + std::to_string(s) +
-               ": recovered state matches neither its pre-op nor its "
-               "post-op state (" +
-               std::to_string(got[s].size()) + " live keys)";
-    return "";
-  }
-
- private:
-  static constexpr unsigned kShards = 2;
-  static constexpr unsigned kKeys = 8;
-  static constexpr unsigned kOps = 40;
-
-  workload::ShardOptions shard_options() const {
-    workload::ShardOptions so;
-    so.kind = workload::StoreKind::kLsmkv;
-    // Singles must be durable at return for the per-op pre/post model,
-    // so no group-commit buffering; batches still commit as one WAL
-    // group burst per shard (Db::put_batch groups unconditionally).
-    so.tuning.write_combine = false;
-    so.tuning.background_compaction = true;
-    so.tuning.memtable_bytes = 1 << 10;  // flush + merge under the run
-    so.writer_lanes = true;
-    return so;
-  }
-
-  std::unique_ptr<hw::Platform> platform_;
-  std::vector<hw::PmemNamespace*> ns_;
-  std::unique_ptr<workload::ShardedStore> store_;
-  std::map<std::string, std::string> prev_[kShards], cur_[kShards];
-};
-
-// ----------------------------------------------------------- resilient --
-
-// Self-healing replicated frontend under combined media damage and
-// crash points: ShardedStore over two per-DIMM lsmkv shards with
-// replicas=2, so every key is mirrored on both stores. Mid-run, store
-// 0's namespace takes at-rest poison; the typed request path contains
-// the resulting MediaErrors, quarantines the store, and donated
-// background turns drive the online rebuild (ARS scrub, full-line
-// ntstore heals, reformat, re-silver from the replica, verify) while
-// writes keep flowing. Every persist event inside those heal/re-silver
-// bursts is a crash point; recovery re-opens a fresh replicas=2
-// frontend (whose open() re-derives quarantine from the media state via
-// ARS), drives it back to healthy, and requires the served state to
-// match the pre- or post-op model — run twice for double-recovery
-// idempotence.
-class ResilientTarget final : public Target {
- public:
-  std::string name() const override { return "resilient-lsmkv"; }
-
-  hw::Platform& reset() override {
-    platform_ = std::make_unique<hw::Platform>();
-    ns_ = workload::ShardedStore::make_namespaces(*platform_, kShards,
-                                                  16ull << 20);
-    store_ = std::make_unique<workload::ShardedStore>(ns_, shard_options());
-    sim::ThreadCtx ctx = make_thread(0);
-    store_->create(ctx);
-    prev_.clear();
-    cur_.clear();
-    platform_->reset_timing();
-    return *platform_;
-  }
-
-  hw::PmemNamespace& nspace() override { return *ns_[0]; }
-
-  void run() override {
-    sim::ThreadCtx ctx = make_thread(0);
-    sim::Rng rng(29);
-    for (unsigned op = 0; op < kOps; ++op) {
-      if (op == kPoisonAt) {
+    sim::Rng rng(row_.seed);
+    for (unsigned op = 0, step = 0; op < row_.ops; ++step) {
+      if (step == row_.poison_at) {
         hw::FaultInjector inj(*platform_, 7);
         inj.poison_random(*ns_[0], 0, ns_[0]->size(), 3);
       }
-      const std::string key = "key" + std::to_string(rng.uniform(kKeys));
       prev_ = cur_;
+      const bool batch =
+          row_.batch_one_in == 1 ||
+          (row_.batch_one_in > 1 && rng.uniform(row_.batch_one_in) == 0);
       workload::OpResult r;
-      if (rng.uniform(4) == 0 && cur_.count(key) != 0) {
-        cur_.erase(key);
-        r = store_->try_del(ctx, key);
+      std::string key;
+      if (batch) {
+        std::vector<workload::BatchOp> recs(std::min<unsigned>(
+            row_.ops - op,
+            row_.batch_min + static_cast<unsigned>(rng.uniform(row_.batch_span))));
+        for (workload::BatchOp& b : recs) b = next_record(op++, rng);
+        r = store_->try_apply_batch(ctx, recs);
       } else {
-        const std::string val =
-            key + "#" + std::to_string(op) +
-            std::string(4 + rng.uniform(12),
-                        'a' + static_cast<char>(op % 26));
-        cur_[key] = val;
-        r = store_->try_put(ctx, key, val);
+        const workload::BatchOp b = next_record(op++, rng);
+        key = b.key;
+        r = b.del ? store_->try_del(ctx, b.key)
+                  : store_->try_put(ctx, b.key, b.value);
       }
       // An op no copy took was not acknowledged and had no effect.
       if (r.status == workload::OpStatus::kUnavailable) cur_ = prev_;
-      // A few reads per op keep the degraded->quarantined budget moving.
-      std::string v;
-      (void)store_->try_get(ctx, key, &v);
-      // Donated turns drive the scrub/heal/re-silver pipeline, so crash
-      // points land inside its WAL bursts and full-line heal ntstores.
-      store_->background_turn(ctx);
-      store_->background_turn(ctx);
+      if (row_.read_back && !batch) {
+        std::string v;
+        (void)store_->try_get(ctx, key, &v);
+      }
+      // Donated turns put crash points inside deferred merges and online
+      // rebuilds (neither changes the logical state).
+      if (row_.bg_every != 0 && step % row_.bg_every == row_.bg_every - 1)
+        for (unsigned i = 0; i < row_.bg_turns; ++i)
+          store_->background_turn(ctx);
     }
-    // Finish any in-flight rebuild under continued service.
-    for (unsigned i = 0; i < 400 && !store_->all_healthy(); ++i)
-      store_->background_turn(ctx);
+    // Finish deferred work (an in-flight rebuild) under continued service.
+    for (unsigned i = 0; i < 400 && store_->background_turn(ctx); ++i) {
+    }
     store_->flush_pending(ctx);
   }
 
-  std::string recover_and_check() override {
-    // Twice: recovering a recovered image must be a fixed point.
-    for (unsigned round = 0; round < 2; ++round) {
-      const std::string err = recover_once(round);
+  std::string recover_and_check() override { return recover(false); }
+  std::string repair_and_check() override { return recover(true); }
+
+ private:
+  using State = std::map<std::string, std::string>;
+
+  std::string key_name(unsigned k) const {
+    std::string digits = std::to_string(k);
+    if (digits.size() < row_.key_width)
+      digits.insert(0, row_.key_width - digits.size(), '0');
+    return row_.key_prefix + digits;
+  }
+
+  // Draws one record (key, delete-or-value) and applies it to the model.
+  workload::BatchOp next_record(unsigned op, sim::Rng& rng) {
+    workload::BatchOp b;
+    b.key = key_name(static_cast<unsigned>(rng.uniform(row_.keys)));
+    b.del = rng.uniform(row_.del_one_in) == 0 && cur_.count(b.key) != 0;
+    if (b.del) {
+      cur_.erase(b.key);
+    } else {
+      b.value = row_.value(b.key, op, rng);
+      cur_[b.key] = b.value;
+      history_[b.key].insert(b.value);
+    }
+    return b;
+  }
+
+  State shard_slice(const State& s, unsigned shard) const {
+    State out;
+    for (const auto& [k, v] : s)
+      if (workload::shard_of(k, row_.shards) == shard) out.emplace(k, v);
+    return out;
+  }
+
+  std::string recover(bool repair) {
+    for (unsigned round = 0; round < row_.recovery_rounds; ++round) {
+      const std::string err = recover_once(repair, round);
       if (!err.empty()) return err;
     }
     return "";
   }
 
- private:
-  std::string recover_once(unsigned round) {
+  // Crash mode: re-open with fresh objects and require every invariant
+  // plus the per-shard pre/post state. Repair mode (after media faults):
+  // run the store's salvage; media damage may cost committed data, but
+  // only *reported* loss is acceptable, and every surviving value must
+  // be one its key actually held.
+  std::string recover_once(bool repair, unsigned round) {
     sim::ThreadCtx ctx = make_thread(5 + round);
-    workload::ShardedStore store(ns_, shard_options());
-    if (!store.open(ctx))
-      return "resilient open() failed (round " + std::to_string(round) + ")";
-    // Health is re-derived from the media state at open (ARS), so a
-    // crash mid-rebuild lands back in quarantine here; drive the rebuild
-    // to completion before judging state.
-    for (unsigned i = 0; i < 800 && !store.all_healthy(); ++i)
-      store.background_turn(ctx);
-    if (!store.all_healthy()) return "rebuild did not converge";
-    if (Status st = store.check(ctx); !st.ok()) return st.to_string();
-    std::map<std::string, std::string> got;
-    for (unsigned k = 0; k < kKeys; ++k) {
-      const std::string key = "key" + std::to_string(k);
+    const std::unique_ptr<workload::StoreIface> store = row_.make(ns_);
+    if (repair) {
+      try {
+        store->open(ctx);
+      } catch (const hw::MediaError&) {
+        // repair_media decides what is still salvageable.
+      }
+      // No readable store left is a typed, reported total loss: the
+      // contract forbids only *silent* corruption.
+      if (Status st = store->repair_media(ctx); !st.ok())
+        return st.code() == ErrorCode::kDataLoss ? "" : st.to_string();
+    } else if (!store->open(ctx)) {
+      return "open() found no valid store (round " + std::to_string(round) +
+             ")";
+    }
+    // Health is re-derived from the media state at open, so a crash
+    // mid-rebuild lands back in quarantine: finish before judging state.
+    for (unsigned turns = 0; store->background_turn(ctx);)
+      if (++turns == 800) return "background work did not converge";
+    if (!repair)
+      if (Status st = store->check(ctx); !st.ok()) return st.to_string();
+
+    State got;
+    for (unsigned k = 0; k < row_.keys; ++k) {
+      const std::string key = key_name(k);
       std::string v;
-      const workload::OpResult r = store.try_get(ctx, key, &v);
+      const workload::OpResult r = store->try_get(ctx, key, &v);
       if (r.ok())
         got[key] = v;
       else if (r.status != workload::OpStatus::kNotFound)
-        return std::string("typed error after rebuild: ") +
+        return std::string("typed error after recovery: ") +
                workload::op_status_name(r.status) + " for " + key;
     }
-    if (got != prev_ && got != cur_)
-      return "recovered state matches neither the pre-op nor the post-op "
-             "model (" + std::to_string(got.size()) + " live keys, round " +
-             std::to_string(round) + ")";
+    bool diverged = false;
+    for (unsigned s = 0; s < row_.shards; ++s) {
+      const State mine = shard_slice(got, s);
+      if (mine == shard_slice(prev_, s) || mine == shard_slice(cur_, s))
+        continue;
+      if (!repair)
+        return "shard " + std::to_string(s) +
+               ": recovered state matches neither its pre-op nor its "
+               "post-op state (" +
+               std::to_string(mine.size()) + " live keys, round " +
+               std::to_string(round) + ")";
+      diverged = true;
+    }
+    if (!diverged) return "";
+    if (!store->damage_reported())
+      return "silent corruption: recovered state diverges from the pre-/"
+             "post-op states with no damage reported";
+    for (const auto& [key, val] : got) {
+      const auto it = history_.find(key);
+      if (it == history_.end() || it->second.count(val) == 0)
+        return "silent corruption: key " + key + " holds a never-written "
+               "value";
+    }
     return "";
   }
 
-  static constexpr unsigned kShards = 2;
-  static constexpr unsigned kKeys = 8;
-  static constexpr unsigned kOps = 30;
-  static constexpr unsigned kPoisonAt = 10;
-
-  workload::ShardOptions shard_options() const {
-    workload::ShardOptions so;
-    so.kind = workload::StoreKind::kLsmkv;
-    so.replicas = 2;
-    // Singles must be durable at return for the per-op pre/post model.
-    so.tuning.write_combine = false;
-    so.tuning.memtable_bytes = 1 << 10;  // flush + merge under the run
-    so.writer_lanes = true;
-    so.quarantine_after = 1;  // fail fast: one read error quarantines
-    return so;
-  }
-
+  KvRow row_;
   std::unique_ptr<hw::Platform> platform_;
   std::vector<hw::PmemNamespace*> ns_;
-  std::unique_ptr<workload::ShardedStore> store_;
-  std::map<std::string, std::string> prev_, cur_;
+  std::unique_ptr<workload::StoreIface> store_;
+  State prev_, cur_;
+  std::map<std::string, std::set<std::string>> history_;
 };
 
 }  // namespace
@@ -996,26 +586,129 @@ class ResilientTarget final : public Target {
 std::unique_ptr<Target> make_pmemlib_target(bool inject_commit_fault) {
   return std::make_unique<PmemlibTarget>(inject_commit_fault);
 }
-std::unique_ptr<Target> make_lsmkv_target(kv::WalMode mode,
-                                          bool wal_checksum,
-                                          bool group_commit) {
-  return std::make_unique<LsmkvTarget>(mode, wal_checksum, group_commit);
-}
 std::unique_ptr<Target> make_novafs_target(bool log_checksum,
                                            bool batch_appends) {
   return std::make_unique<NovafsTarget>(log_checksum, batch_appends);
 }
+
+// Small memtable and a low L0 trigger pull flushes and a compaction into
+// the crash window; every op is WAL-synced before it returns.
+std::unique_ptr<Target> make_lsmkv_target(kv::WalMode mode,
+                                          bool wal_checksum,
+                                          bool group_commit) {
+  kv::DbOptions o;
+  o.wal = mode;
+  o.wal_checksum = wal_checksum;
+  o.memtable = kv::MemtableMode::kVolatile;
+  o.wal_capacity = 1 << 20;
+  o.memtable_bytes = 512;
+  o.l0_compaction_trigger = 2;
+  o.sync_every_op = true;
+  o.wal_group_commit = group_commit;
+  return std::make_unique<KvTarget>(KvRow{
+      .name = std::string(mode == kv::WalMode::kPosix ? "lsmkv-posix"
+                                                      : "lsmkv-flex") +
+              (group_commit ? "-group" : ""),
+      .ns_bytes = 32 << 20,
+      .make = [o](std::span<hw::PmemNamespace* const> ns) {
+        return workload::make_lsmkv_store(*ns[0], o);
+      },
+      .seed = 11,
+      // Group commit acknowledges a put_batch group at a time; groups
+      // coalesce records into one persist burst, so twice the records
+      // keep the crash-point count comparable.
+      .ops = group_commit ? 96u : 48u,
+      .value = filler_value<16>,
+      .batch_one_in = group_commit ? 1u : 0u,
+      .batch_span = group_commit ? 3u : 0u,
+  });
+}
+
+// In-place single-line updates plus transactional inserts and removes.
 std::unique_ptr<Target> make_cmap_target() {
-  return std::make_unique<CmapTarget>();
+  return std::make_unique<KvTarget>(KvRow{
+      .name = "pmemkv-cmap",
+      .make = [](std::span<hw::PmemNamespace* const> ns) {
+        return workload::make_cmap_store(*ns[0], pmemkv::CMapOptions{});
+      },
+      .seed = 17,
+      .key_prefix = "k",
+      .keys = 12,
+      .ops = 40,
+      .del_one_in = 5,
+      .value = cmap_value,
+  });
 }
-std::unique_ptr<Target> make_sharded_target() {
-  return std::make_unique<ShardedTarget>();
-}
-std::unique_ptr<Target> make_resilient_target() {
-  return std::make_unique<ResilientTarget>();
-}
+
+// Enough keys to force (transactional) leaf splits; inserts and removes
+// commit via the bitmap persist, updates via the val_off persist.
 std::unique_ptr<Target> make_stree_target() {
-  return std::make_unique<StreeTarget>();
+  return std::make_unique<KvTarget>(KvRow{
+      .name = "pmemkv-stree",
+      .make = [](std::span<hw::PmemNamespace* const> ns) {
+        return workload::make_stree_store(*ns[0], pmemkv::STreeOptions{});
+      },
+      .seed = 19,
+      .key_width = 2,
+      .keys = 48,
+      .ops = 60,
+      .del_one_in = 6,
+      .value = stree_value,
+  });
+}
+
+std::unique_ptr<Target> make_sharded_target() {
+  workload::ShardOptions so;
+  so.kind = workload::StoreKind::kLsmkv;
+  // Singles must be durable at return for the pre/post model, so no
+  // group-commit buffering; batches still commit as one WAL group burst
+  // per shard (Db::put_batch groups unconditionally).
+  so.tuning.write_combine = false;
+  so.tuning.background_compaction = true;
+  so.tuning.memtable_bytes = 1 << 10;  // flush + merge under the run
+  so.writer_lanes = true;
+  return std::make_unique<KvTarget>(KvRow{
+      .name = "sharded-lsmkv",
+      .shards = 2,
+      .ns_bytes = 16ull << 20,
+      .make = [so](std::span<hw::PmemNamespace* const> ns) {
+        return std::make_unique<workload::ShardedStore>(ns, so);
+      },
+      .seed = 13,
+      .ops = 96,
+      .value = filler_value<12>,
+      .batch_one_in = 3,
+      .batch_min = 2,
+      .batch_span = 3,
+      .bg_every = 4,
+      .bg_turns = 1,
+  });
+}
+
+std::unique_ptr<Target> make_resilient_target() {
+  workload::ShardOptions so;
+  so.kind = workload::StoreKind::kLsmkv;
+  so.replicas = 2;
+  so.tuning.write_combine = false;  // singles durable at return
+  so.tuning.memtable_bytes = 1 << 10;
+  so.writer_lanes = true;
+  so.quarantine_after = 1;  // fail fast: one read error quarantines
+  return std::make_unique<KvTarget>(KvRow{
+      .name = "resilient-lsmkv",
+      .shards = 2,
+      .ns_bytes = 16ull << 20,
+      .make = [so](std::span<hw::PmemNamespace* const> ns) {
+        return std::make_unique<workload::ShardedStore>(ns, so);
+      },
+      .seed = 29,
+      .ops = 30,
+      .value = filler_value<12>,
+      .bg_every = 1,
+      .bg_turns = 2,
+      .read_back = true,
+      .poison_at = 10,
+      .recovery_rounds = 2,
+  });
 }
 
 std::vector<std::unique_ptr<Target>> all_targets(bool checksums) {
@@ -1028,6 +721,14 @@ std::vector<std::unique_ptr<Target>> all_targets(bool checksums) {
   targets.push_back(make_novafs_target(checksums, /*batch_appends=*/true));
   targets.push_back(make_cmap_target());
   targets.push_back(make_stree_target());
+  return targets;
+}
+
+std::vector<std::unique_ptr<Target>> extra_targets(bool checksums) {
+  std::vector<std::unique_ptr<Target>> targets;
+  targets.push_back(make_lsmkv_target(kv::WalMode::kPosix, checksums));
+  targets.push_back(make_sharded_target());
+  targets.push_back(make_resilient_target());
   return targets;
 }
 

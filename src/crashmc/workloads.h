@@ -1,28 +1,35 @@
 // Crash-point exploration targets for every persistent store in the
-// repo, shared by tests/crashmc_test.cc and bench/crashmc_sweep.cc.
+// repo, shared by tests/crashmc_test.cc, tests/faultmc_test.cc and
+// bench/crashmc_sweep.cc.
 //
-// Each target packages a deterministic mutation workload with a
-// per-store invariant checker derived from the store's own atomicity
-// analysis:
+// Every KV store is explored by one target, KvTarget (workloads.cc),
+// written once against workload::StoreIface and driven through its typed
+// try_* surface. A KV target is a row of data: name, store factory (a
+// family adapter built from the family's own options, or a
+// ShardedStore), seed, key universe, op count, op mix, batch and
+// background-turn cadence, and for the resilient row the poison-at op
+// and the number of recovery rounds. Every op is durable when it
+// returns, so recovery must find each shard's state before or after the
+// in-flight op (a batch is atomic per shard slice, not across shards);
+// with one shard that is the single-store check. Recovery and repair go
+// through StoreIface::open/check/repair_media/damage_reported, so the
+// adapters own all family-specific recovery.
+//
+// Two targets stay native, because their workloads are not KV ops:
 //
 //  * pmemlib  — two threads in distinct undo-log lanes bump versioned
-//               slots transactionally (plus allocator churn). A slot must
-//               recover to its last acknowledged or last attempted
-//               version, never anything else, and Pool::check() validates
-//               lane/allocator metadata.
-//  * lsmkv    — every put/del is WAL-synced before acknowledgment, so the
-//               recovered logical state must equal the state before or
-//               after the in-flight operation (committed-prefix
-//               durability), with Db::check() validating manifest/tables.
-//  * novafs   — single-page writes, page-aligned truncates and
-//               create/unlink are each one atomic log append; the
+//               slots transactionally (plus allocator churn). A tx-slot
+//               read-modify-write is not a KV op. A slot must recover to
+//               its last acknowledged or last attempted version, and
+//               Pool::check() validates lane/allocator metadata.
+//  * novafs   — single-page writes, page-aligned truncates, create/unlink
+//               and (batched) renames and page-straddling writes, each
+//               one atomic log append. The novafs adapter's put is a
+//               write plus a truncate, two log appends, so it is not
+//               crash-atomic, and this workload explores truncates,
+//               renames and CoW writes that no KV op issues. The
 //               recovered file set must byte-match the pre- or post-op
-//               state, and NovaFs::fsck() validates logs and page
-//               ownership.
-//  * pmemkv   — cmap (in-place single-line updates + transactional
-//               inserts/removes) and stree (slot/bitmap and val_off
-//               commit points, transactional splits): recovered state is
-//               pre- or post-op, with structural checks.
+//               state, and NovaFs::fsck() validates logs and pages.
 #pragma once
 
 #include <memory>
@@ -37,11 +44,11 @@ namespace xp::crashmc {
 // lane-retire store in Tx::commit (Pool::TestFault::kSkipCommitFlush) so
 // negative tests can prove the harness catches a real protocol bug.
 std::unique_ptr<Target> make_pmemlib_target(bool inject_commit_fault = false);
-// `wal_checksum` turns on per-record WAL CRCs (detects torn/garbage WAL
-// bytes, not just poison); used by the fault campaign. `group_commit`
-// runs the workload through Db::put_batch groups — the acknowledged unit
-// becomes the batch, and a crash inside a group must roll back to the
-// previous group boundary.
+// KV rows. lsmkv: `wal_checksum` turns on per-record WAL CRCs (detects
+// torn/garbage WAL bytes, not just poison); used by the fault campaign.
+// `group_commit` runs the workload through put_batch groups — the
+// acknowledged unit becomes the batch, and a crash inside a group must
+// roll back to the previous group boundary.
 std::unique_ptr<Target> make_lsmkv_target(
     kv::WalMode mode = kv::WalMode::kFlex, bool wal_checksum = false,
     bool group_commit = false);
@@ -51,26 +58,22 @@ std::unique_ptr<Target> make_lsmkv_target(
 // page-straddling embedded writes) to the workload.
 std::unique_ptr<Target> make_novafs_target(bool log_checksum = false,
                                            bool batch_appends = false);
+// cmap: in-place single-line updates plus transactional inserts/removes.
 std::unique_ptr<Target> make_cmap_target();
+// stree: enough keys to force transactional leaf splits.
 std::unique_ptr<Target> make_stree_target();
-// Sharded frontend (workload::ShardedStore over per-DIMM lsmkv shards,
-// write-combining + deferred background compaction on): single-key ops,
+// Sharded frontend (workload::ShardedStore over two per-DIMM lsmkv
+// shards, deferred background compaction on): single-key ops,
 // cross-shard batched dispatch, and donated compaction turns. The
 // crash-atomic unit is one shard's slice of a dispatch (one WAL group
-// burst); the cross-shard batch as a whole is NOT atomic, so recovery
-// is checked shard by shard: each shard's recovered restriction must be
-// its own pre- or post-op state. Not part of all_targets() — the
-// five-family panel (and the fault campaign's loss semantics) stays
-// as it was.
+// burst), so each shard's recovered state is checked on its own.
 std::unique_ptr<Target> make_sharded_target();
 // Self-healing replicated frontend (ShardedStore, 2 shards, replicas=2,
 // lsmkv) under combined at-rest poison and crash points: the workload
 // quarantines store 0 mid-run and crash points land inside the online
 // rebuild's heal ntstores and re-silver WAL bursts. Recovery re-opens a
-// fresh replicas=2 frontend, drives the rebuild to completion, and
-// requires the served state to match the pre-/post-op model — twice,
-// for double-recovery idempotence. Not part of all_targets(), like the
-// sharded target.
+// fresh frontend, drives the rebuild to completion and checks the model
+// twice, for double-recovery idempotence.
 std::unique_ptr<Target> make_resilient_target();
 
 // The standard panel: pmemlib, lsmkv (FLEX WAL, per-record and group
@@ -78,5 +81,11 @@ std::unique_ptr<Target> make_resilient_target();
 // `checksums` enables the WAL/log CRC options on the stores that have
 // them (the fault campaign's configuration).
 std::vector<std::unique_ptr<Target>> all_targets(bool checksums = false);
+
+// Rows outside the standard panel, reachable by name (crashmc_sweep
+// --store): lsmkv with the POSIX WAL, the sharded and the resilient
+// frontends. The panel's counts and the fault campaign's loss semantics
+// stay as they were.
+std::vector<std::unique_ptr<Target>> extra_targets(bool checksums = false);
 
 }  // namespace xp::crashmc

@@ -605,11 +605,16 @@ void Db::flush(sim::ThreadCtx& ctx) {
 
 bool Db::background_work(sim::ThreadCtx& ctx) {
   if (!compaction_pending_) return false;
-  compaction_pending_ = false;
   const Manifest m = load_manifest(ctx);
-  if (m.n_l0 == 0) return false;  // flushed away in the meantime
+  if (m.n_l0 == 0) {  // flushed away in the meantime
+    compaction_pending_ = false;
+    return false;
+  }
   ++stats_.background_compactions;
   compact(ctx, m);
+  // Only a committed merge pays the debt: one that throws (a poisoned
+  // input run) leaves it pending for the next turn or the rebuild.
+  compaction_pending_ = false;
   return true;
 }
 

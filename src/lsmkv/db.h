@@ -127,6 +127,7 @@ class Db {
   const DbStats& stats() const { return stats_; }
   const DbOptions& options() const { return opts_; }
   pmem::Pool& pool() { return pool_; }
+  const pmem::Pool& pool() const { return pool_; }
 
  private:
   struct TableRef {

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <span>
 #include <string>
@@ -43,6 +44,32 @@ bool elide(const TargetOptions& o) {
   return o.fault == TestFault::kElideRmwLock;
 }
 
+// Shared plumbing: a fresh platform per run (built by reset()), one
+// History, and one logical worker thread per TargetOptions::threads, each
+// running body().
+class WorkerTarget : public Target {
+ public:
+  explicit WorkerTarget(const TargetOptions& o) : opts_(o) {}
+
+  hw::Platform& platform() override { return *platform_; }
+  History& history() override { return history_; }
+
+  std::vector<ThreadSpec> specs() override {
+    std::vector<ThreadSpec> v;
+    for (unsigned t = 0; t < opts_.threads; ++t)
+      v.push_back({worker_opts(opts_, t),
+                   [this, t](sim::ThreadCtx& ctx) { body(ctx, t); }});
+    return v;
+  }
+
+ protected:
+  virtual void body(sim::ThreadCtx& ctx, unsigned t) = 0;
+
+  TargetOptions opts_;
+  std::unique_ptr<hw::Platform> platform_;
+  History history_;
+};
+
 // ------------------------------------------------------------- pmemlib --
 
 // Four 8-byte counters in the root object, each guarded by its own
@@ -50,9 +77,9 @@ bool elide(const TargetOptions& o) {
 // transaction (lane = thread id). No allocator churn: the pool free list
 // is shared state the Tx layer does not lock, and this workload models
 // an implementation that partitions data, not the allocator.
-class PmemlibTarget final : public Target {
+class PmemlibTarget final : public WorkerTarget {
  public:
-  explicit PmemlibTarget(const TargetOptions& o) : opts_(o) {}
+  explicit PmemlibTarget(const TargetOptions& o) : WorkerTarget(o) {}
 
   const char* name() const override { return "pmemlib"; }
 
@@ -67,17 +94,6 @@ class PmemlibTarget final : public Target {
       pmem::store_persist_pod(ctx, *ns_, root_ + s * 8, std::uint64_t{0});
     platform_->reset_timing();
     history_.clear();
-  }
-
-  hw::Platform& platform() override { return *platform_; }
-  History& history() override { return history_; }
-
-  std::vector<ThreadSpec> specs() override {
-    std::vector<ThreadSpec> v;
-    for (unsigned t = 0; t < opts_.threads; ++t)
-      v.push_back({worker_opts(opts_, t),
-                   [this, t](sim::ThreadCtx& ctx) { body(ctx, t); }});
-    return v;
   }
 
   std::map<std::string, std::string> live_state() override {
@@ -120,7 +136,7 @@ class PmemlibTarget final : public Target {
     return s;
   }
 
-  void body(sim::ThreadCtx& ctx, unsigned t) {
+  void body(sim::ThreadCtx& ctx, unsigned t) override {
     sim::Rng rng = body_rng(opts_, t);
     for (unsigned op = 0; op < opts_.ops_per_thread; ++op) {
       const unsigned slot = static_cast<unsigned>(rng.uniform(kSlots));
@@ -162,13 +178,10 @@ class PmemlibTarget final : public Target {
     if (locked) locks_[slot].unlock(ctx);
   }
 
-  TargetOptions opts_;
-  std::unique_ptr<hw::Platform> platform_;
   hw::PmemNamespace* ns_ = nullptr;
   std::unique_ptr<pmem::Pool> pool_;
   std::uint64_t root_ = 0;
   SchedLock locks_[kSlots];
-  History history_;
 };
 
 // --------------------------------------------------------------- lsmkv --
@@ -178,9 +191,9 @@ class PmemlibTarget final : public Target {
 // protocol: every mutation joins the current group-commit window; when
 // pending_records() drains to zero the whole window became durable and
 // its ops are promoted to must-include.
-class LsmkvTarget final : public Target {
+class LsmkvTarget final : public WorkerTarget {
  public:
-  explicit LsmkvTarget(const TargetOptions& o) : opts_(o) {}
+  explicit LsmkvTarget(const TargetOptions& o) : WorkerTarget(o) {}
 
   const char* name() const override { return "lsmkv"; }
 
@@ -194,17 +207,6 @@ class LsmkvTarget final : public Target {
     history_.clear();
     window_ops_.clear();
     window_id_ = 1;
-  }
-
-  hw::Platform& platform() override { return *platform_; }
-  History& history() override { return history_; }
-
-  std::vector<ThreadSpec> specs() override {
-    std::vector<ThreadSpec> v;
-    for (unsigned t = 0; t < opts_.threads; ++t)
-      v.push_back({worker_opts(opts_, t),
-                   [this, t](sim::ThreadCtx& ctx) { body(ctx, t); }});
-    return v;
   }
 
   std::map<std::string, std::string> live_state() override {
@@ -290,7 +292,7 @@ class LsmkvTarget final : public Target {
     }
   }
 
-  void body(sim::ThreadCtx& ctx, unsigned t) {
+  void body(sim::ThreadCtx& ctx, unsigned t) override {
     sim::Rng rng = body_rng(opts_, t);
     for (unsigned op = 0; op < opts_.ops_per_thread; ++op) {
       const unsigned r = static_cast<unsigned>(rng.uniform(8));
@@ -357,14 +359,11 @@ class LsmkvTarget final : public Target {
     return std::to_string((found ? std::stoll(v) : 0) + 1);
   }
 
-  TargetOptions opts_;
-  std::unique_ptr<hw::Platform> platform_;
   hw::PmemNamespace* ns_ = nullptr;
   std::unique_ptr<kv::Db> db_;
   SchedLock db_lock_;
   std::vector<std::size_t> window_ops_;
   std::uint64_t window_id_ = 1;
-  History history_;
 };
 
 // -------------------------------------------------------------- novafs --
@@ -372,9 +371,9 @@ class LsmkvTarget final : public Target {
 // Files as map entries: a file's content (fixed-length writes at offset
 // 0) is its value, create is a put of "". One fs-wide lock — the
 // directory log, page allocator, and read staging are all shared.
-class NovafsTarget final : public Target {
+class NovafsTarget final : public WorkerTarget {
  public:
-  explicit NovafsTarget(const TargetOptions& o) : opts_(o) {}
+  explicit NovafsTarget(const TargetOptions& o) : WorkerTarget(o) {}
 
   const char* name() const override { return "novafs"; }
 
@@ -386,17 +385,6 @@ class NovafsTarget final : public Target {
     fs_->format(ctx);
     platform_->reset_timing();
     history_.clear();
-  }
-
-  hw::Platform& platform() override { return *platform_; }
-  History& history() override { return history_; }
-
-  std::vector<ThreadSpec> specs() override {
-    std::vector<ThreadSpec> v;
-    for (unsigned t = 0; t < opts_.threads; ++t)
-      v.push_back({worker_opts(opts_, t),
-                   [this, t](sim::ThreadCtx& ctx) { body(ctx, t); }});
-    return v;
   }
 
   std::map<std::string, std::string> live_state() override {
@@ -453,7 +441,7 @@ class NovafsTarget final : public Target {
     return s;
   }
 
-  void body(sim::ThreadCtx& ctx, unsigned t) {
+  void body(sim::ThreadCtx& ctx, unsigned t) override {
     sim::Rng rng = body_rng(opts_, t);
     for (unsigned op = 0; op < opts_.ops_per_thread; ++op) {
       const unsigned r = static_cast<unsigned>(rng.uniform(8));
@@ -518,251 +506,122 @@ class NovafsTarget final : public Target {
     history_.mark_must_include(id);
   }
 
-  TargetOptions opts_;
-  std::unique_ptr<hw::Platform> platform_;
   hw::PmemNamespace* ns_ = nullptr;
   std::unique_ptr<nova::NovaFs> fs_;
   SchedLock fs_lock_;
-  History history_;
 };
 
-// ---------------------------------------------------------- pmemkv -----
+// ------------------------------------------------------------------ KV --
 
-// cmap: hashed buckets over a pool, bounded writer lanes per DIMM (the
-// lane admission/release points are schedmc yields). Value length picks
-// the engine path: 8 bytes stays in-place, 24 goes transactional.
-class CmapTarget final : public Target {
+// One KV store as a concurrent workload, as a row of data. Each op draws
+// r = uniform(8): a put below put_below, a get below get_below, else a
+// delete.
+struct KvRow {
+  const char* name;
+  std::function<std::unique_ptr<workload::StoreIface>(hw::PmemNamespace&)>
+      make;
+  // Key universe: key_prefix + index zero-padded to key_width digits.
+  const char* key_prefix;
+  unsigned key_width;
+  unsigned keys;
+  unsigned put_below;
+  unsigned get_below;
+  std::string (*value)(unsigned t, unsigned op, sim::Rng& rng);
+};
+
+// Drives any StoreIface through its typed try_* surface under one
+// store-wide lock (the structure is shared state). Every op is durable
+// when it returns, so each is must-include once acknowledged.
+class KvTarget final : public WorkerTarget {
  public:
-  explicit CmapTarget(const TargetOptions& o) : opts_(o) {}
+  KvTarget(KvRow row, const TargetOptions& o)
+      : WorkerTarget(o), row_(std::move(row)) {}
 
-  const char* name() const override { return "cmap"; }
+  const char* name() const override { return row_.name; }
 
   void reset() override {
     platform_ = std::make_unique<hw::Platform>();
     ns_ = &platform_->optane(8 << 20);
-    pool_ = std::make_unique<pmem::Pool>(*ns_);
+    store_ = row_.make(*ns_);
     sim::ThreadCtx ctx = service_ctx();
-    pool_->create(ctx, 64);
-    map_ = std::make_unique<pmemkv::CMap>(*pool_, map_options());
-    map_->create(ctx);
+    store_->create(ctx);
     platform_->reset_timing();
     history_.clear();
   }
 
-  hw::Platform& platform() override { return *platform_; }
-  History& history() override { return history_; }
-
-  std::vector<ThreadSpec> specs() override {
-    std::vector<ThreadSpec> v;
-    for (unsigned t = 0; t < opts_.threads; ++t)
-      v.push_back({worker_opts(opts_, t),
-                   [this, t](sim::ThreadCtx& ctx) { body(ctx, t); }});
-    return v;
-  }
-
   std::map<std::string, std::string> live_state() override {
     sim::ThreadCtx ctx = service_ctx();
-    return read_all(*map_, ctx);
+    return read_all(*store_, ctx);
   }
 
   bool recover(std::map<std::string, std::string>* out,
                std::string* error) override {
     sim::ThreadCtx ctx = service_ctx(33);
-    pmem::Pool pool(*ns_);
-    if (!pool.open(ctx)) {
-      *error = "pool.open() found no valid pool";
+    const std::unique_ptr<workload::StoreIface> store = row_.make(*ns_);
+    if (!store->open(ctx)) {
+      *error = "open() found no valid store";
       return false;
     }
-    if (Status st = pool.check(ctx); !st.ok()) {
+    if (Status st = store->check(ctx); !st.ok()) {
       *error = st.to_string();
       return false;
     }
-    pmemkv::CMap map(pool, map_options());
-    map.open(ctx);
-    if (Status st = map.check(ctx); !st.ok()) {
-      *error = st.to_string();
-      return false;
-    }
-    *out = read_all(map, ctx);
+    *out = read_all(*store, ctx);
     return true;
   }
 
  private:
-  static constexpr unsigned kKeys = 6;
-
-  static std::string key(unsigned i) { return "c" + std::to_string(i); }
-
-  pmemkv::CMapOptions map_options() const {
-    pmemkv::CMapOptions o;
-    o.max_writers_per_dimm = 2;
-    return o;
+  std::string key(unsigned i) const {
+    std::string digits = std::to_string(i);
+    if (digits.size() < row_.key_width)
+      digits.insert(0, row_.key_width - digits.size(), '0');
+    return row_.key_prefix + digits;
   }
 
-  std::map<std::string, std::string> read_all(pmemkv::CMap& map,
+  std::map<std::string, std::string> read_all(workload::StoreIface& store,
                                               sim::ThreadCtx& ctx) {
     std::map<std::string, std::string> s;
-    for (unsigned i = 0; i < kKeys; ++i) {
+    for (unsigned i = 0; i < row_.keys; ++i) {
       std::string v;
-      if (map.get(ctx, key(i), &v)) s[key(i)] = v;
+      if (store.try_get(ctx, key(i), &v).ok()) s[key(i)] = v;
     }
     return s;
   }
 
-  void body(sim::ThreadCtx& ctx, unsigned t) {
+  void body(sim::ThreadCtx& ctx, unsigned t) override {
     sim::Rng rng = body_rng(opts_, t);
     for (unsigned op = 0; op < opts_.ops_per_thread; ++op) {
       const unsigned r = static_cast<unsigned>(rng.uniform(8));
-      const std::string k = key(static_cast<unsigned>(rng.uniform(kKeys)));
+      const std::string k = key(static_cast<unsigned>(rng.uniform(row_.keys)));
       ctx.sched_point(sim::SchedPoint::kOpBegin);
-      SchedLockGuard g(map_lock_, ctx);
-      if (r < 4) {
-        // 8-byte value = in-place update path; 24-byte = transactional.
-        const std::size_t len = (rng.uniform(2) == 0) ? 8 : 24;
-        std::string val = "w" + std::to_string(t) + "_" + std::to_string(op);
-        val.resize(len, 'x');
-        const std::size_t id = history_.invoke(t, OpKind::kPut, k, val);
+      SchedLockGuard g(lock_, ctx);
+      std::size_t id;
+      if (r < row_.put_below) {
+        const std::string val = row_.value(t, op, rng);
+        id = history_.invoke(t, OpKind::kPut, k, val);
         history_.stage_write(id);
-        map_->put(ctx, k, val);
+        store_->try_put(ctx, k, val);
         history_.respond(id);
-        history_.mark_must_include(id);
-      } else if (r < 6) {
-        const std::size_t id = history_.invoke(t, OpKind::kGet, k);
+      } else if (r < row_.get_below) {
+        id = history_.invoke(t, OpKind::kGet, k);
         std::string v;
-        const bool found = map_->get(ctx, k, &v);
+        const bool found = store_->try_get(ctx, k, &v).ok();
         history_.respond(id, found, v);
-        history_.mark_must_include(id);
       } else {
-        const std::size_t id = history_.invoke(t, OpKind::kDel, k);
+        id = history_.invoke(t, OpKind::kDel, k);
         history_.stage_write(id);
-        const bool ok = map_->remove(ctx, k);
-        history_.respond(id, ok);
-        history_.mark_must_include(id);
+        bool found = false;
+        store_->try_del(ctx, k, &found);
+        history_.respond(id, found);
       }
+      history_.mark_must_include(id);
     }
   }
 
-  TargetOptions opts_;
-  std::unique_ptr<hw::Platform> platform_;
+  KvRow row_;
   hw::PmemNamespace* ns_ = nullptr;
-  std::unique_ptr<pmem::Pool> pool_;
-  std::unique_ptr<pmemkv::CMap> map_;
-  SchedLock map_lock_;
-  History history_;
-};
-
-// stree: sorted leaves with splits. Enough keys that the 3-thread run
-// splits at least one leaf mid-schedule.
-class StreeTarget final : public Target {
- public:
-  explicit StreeTarget(const TargetOptions& o) : opts_(o) {}
-
-  const char* name() const override { return "stree"; }
-
-  void reset() override {
-    platform_ = std::make_unique<hw::Platform>();
-    ns_ = &platform_->optane(8 << 20);
-    pool_ = std::make_unique<pmem::Pool>(*ns_);
-    sim::ThreadCtx ctx = service_ctx();
-    pool_->create(ctx, 64);
-    tree_ = std::make_unique<pmemkv::STree>(*pool_);
-    tree_->create(ctx);
-    platform_->reset_timing();
-    history_.clear();
-  }
-
-  hw::Platform& platform() override { return *platform_; }
-  History& history() override { return history_; }
-
-  std::vector<ThreadSpec> specs() override {
-    std::vector<ThreadSpec> v;
-    for (unsigned t = 0; t < opts_.threads; ++t)
-      v.push_back({worker_opts(opts_, t),
-                   [this, t](sim::ThreadCtx& ctx) { body(ctx, t); }});
-    return v;
-  }
-
-  std::map<std::string, std::string> live_state() override {
-    sim::ThreadCtx ctx = service_ctx();
-    return read_all(*tree_, ctx);
-  }
-
-  bool recover(std::map<std::string, std::string>* out,
-               std::string* error) override {
-    sim::ThreadCtx ctx = service_ctx(33);
-    pmem::Pool pool(*ns_);
-    if (!pool.open(ctx)) {
-      *error = "pool.open() found no valid pool";
-      return false;
-    }
-    if (Status st = pool.check(ctx); !st.ok()) {
-      *error = st.to_string();
-      return false;
-    }
-    pmemkv::STree tree(pool);
-    tree.open(ctx);
-    if (Status st = tree.check(ctx); !st.ok()) {
-      *error = st.to_string();
-      return false;
-    }
-    *out = read_all(tree, ctx);
-    return true;
-  }
-
- private:
-  static constexpr unsigned kKeys = 12;
-
-  static std::string key(unsigned i) {
-    return "t" + std::string(i < 10 ? "0" : "") + std::to_string(i);
-  }
-
-  std::map<std::string, std::string> read_all(pmemkv::STree& tree,
-                                              sim::ThreadCtx& ctx) {
-    std::map<std::string, std::string> s;
-    for (unsigned i = 0; i < kKeys; ++i) {
-      std::string v;
-      if (tree.get(ctx, key(i), &v)) s[key(i)] = v;
-    }
-    return s;
-  }
-
-  void body(sim::ThreadCtx& ctx, unsigned t) {
-    sim::Rng rng = body_rng(opts_, t);
-    for (unsigned op = 0; op < opts_.ops_per_thread; ++op) {
-      const unsigned r = static_cast<unsigned>(rng.uniform(8));
-      const std::string k = key(static_cast<unsigned>(rng.uniform(kKeys)));
-      ctx.sched_point(sim::SchedPoint::kOpBegin);
-      SchedLockGuard g(tree_lock_, ctx);
-      if (r < 5) {
-        const std::string val =
-            "n" + std::to_string(t) + "_" + std::to_string(op);
-        const std::size_t id = history_.invoke(t, OpKind::kPut, k, val);
-        history_.stage_write(id);
-        tree_->put(ctx, k, val);
-        history_.respond(id);
-        history_.mark_must_include(id);
-      } else if (r < 7) {
-        const std::size_t id = history_.invoke(t, OpKind::kGet, k);
-        std::string v;
-        const bool found = tree_->get(ctx, k, &v);
-        history_.respond(id, found, v);
-        history_.mark_must_include(id);
-      } else {
-        const std::size_t id = history_.invoke(t, OpKind::kDel, k);
-        history_.stage_write(id);
-        const bool ok = tree_->remove(ctx, k);
-        history_.respond(id, ok);
-        history_.mark_must_include(id);
-      }
-    }
-  }
-
-  TargetOptions opts_;
-  std::unique_ptr<hw::Platform> platform_;
-  hw::PmemNamespace* ns_ = nullptr;
-  std::unique_ptr<pmem::Pool> pool_;
-  std::unique_ptr<pmemkv::STree> tree_;
-  SchedLock tree_lock_;
-  History history_;
+  std::unique_ptr<workload::StoreIface> store_;
+  SchedLock lock_;
 };
 
 // ------------------------------------------------------------- sharded --
@@ -782,9 +641,9 @@ class StreeTarget final : public Target {
 // group (Db::put_batch, one WAL group burst) is durable — atomically —
 // when the dispatch returns. History groups mirror exactly that unit:
 // one group id per (batch, shard), never one spanning shards.
-class ShardedTarget final : public Target {
+class ShardedTarget final : public WorkerTarget {
  public:
-  explicit ShardedTarget(const TargetOptions& o) : opts_(o) {}
+  explicit ShardedTarget(const TargetOptions& o) : WorkerTarget(o) {}
 
   const char* name() const override { return "sharded-lsmkv"; }
 
@@ -810,14 +669,8 @@ class ShardedTarget final : public Target {
     next_group_ = 1;
   }
 
-  hw::Platform& platform() override { return *platform_; }
-  History& history() override { return history_; }
-
   std::vector<ThreadSpec> specs() override {
-    std::vector<ThreadSpec> v;
-    for (unsigned t = 0; t < opts_.threads; ++t)
-      v.push_back({worker_opts(opts_, t),
-                   [this, t](sim::ThreadCtx& ctx) { body(ctx, t); }});
+    std::vector<ThreadSpec> v = WorkerTarget::specs();
     // The background-compaction donor: walks the shards a few times,
     // paying one deferred merge per turn under that shard's lock.
     v.push_back({worker_opts(opts_, opts_.threads),
@@ -889,7 +742,7 @@ class ShardedTarget final : public Target {
     return out;
   }
 
-  void body(sim::ThreadCtx& ctx, unsigned t) {
+  void body(sim::ThreadCtx& ctx, unsigned t) override {
     sim::Rng rng = body_rng(opts_, t);
     for (unsigned op = 0; op < opts_.ops_per_thread; ++op) {
       const unsigned r = static_cast<unsigned>(rng.uniform(10));
@@ -1003,14 +856,11 @@ class ShardedTarget final : public Target {
     return std::to_string((found ? std::stoll(v) : 0) + 1);
   }
 
-  TargetOptions opts_;
-  std::unique_ptr<hw::Platform> platform_;
   std::vector<hw::PmemNamespace*> ns_;
   std::unique_ptr<workload::ShardedStore> store_;
   SchedLock locks_[kShards];
   std::map<std::string, std::string> filler_;
   std::uint64_t next_group_ = 1;
-  History history_;
 };
 
 }  // namespace
@@ -1024,11 +874,49 @@ std::unique_ptr<Target> make_lsmkv_target(const TargetOptions& opts) {
 std::unique_ptr<Target> make_novafs_target(const TargetOptions& opts) {
   return std::make_unique<NovafsTarget>(opts);
 }
+// cmap with bounded writer lanes (the lane admission/release points are
+// schedmc yields). An 8-byte value stays in place, 24 goes
+// transactional.
 std::unique_ptr<Target> make_cmap_target(const TargetOptions& opts) {
-  return std::make_unique<CmapTarget>(opts);
+  pmemkv::CMapOptions o;
+  o.max_writers_per_dimm = 2;
+  return std::make_unique<KvTarget>(
+      KvRow{.name = "cmap",
+            .make = [o](hw::PmemNamespace& ns) {
+              return workload::make_cmap_store(ns, o);
+            },
+            .key_prefix = "c",
+            .key_width = 0,
+            .keys = 6,
+            .put_below = 4,
+            .get_below = 6,
+            .value = [](unsigned t, unsigned op, sim::Rng& rng) {
+              const std::size_t len = rng.uniform(2) == 0 ? 8 : 24;
+              std::string val =
+                  "w" + std::to_string(t) + "_" + std::to_string(op);
+              val.resize(len, 'x');
+              return val;
+            }},
+      opts);
 }
+
+// stree with enough keys that a 3-thread run splits a leaf
+// mid-schedule.
 std::unique_ptr<Target> make_stree_target(const TargetOptions& opts) {
-  return std::make_unique<StreeTarget>(opts);
+  return std::make_unique<KvTarget>(
+      KvRow{.name = "stree",
+            .make = [](hw::PmemNamespace& ns) {
+              return workload::make_stree_store(ns, pmemkv::STreeOptions{});
+            },
+            .key_prefix = "t",
+            .key_width = 2,
+            .keys = 12,
+            .put_below = 5,
+            .get_below = 7,
+            .value = [](unsigned t, unsigned op, sim::Rng&) {
+              return "n" + std::to_string(t) + "_" + std::to_string(op);
+            }},
+      opts);
 }
 std::unique_ptr<Target> make_sharded_target(const TargetOptions& opts) {
   return std::make_unique<ShardedTarget>(opts);

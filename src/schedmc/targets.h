@@ -7,6 +7,24 @@
 // deterministic functions of (workload_seed, thread id), which is what
 // lets the explorer replay a recorded schedule exactly.
 //
+// The KV stores whose ops are each durable at return are one target,
+// KvTarget (targets.cc), written once against workload::StoreIface and
+// driven through its typed try_* surface; a KV target is a row of data
+// (name, store factory, key universe, op mix, value shape), and
+// recovery is the adapter's open() + check(). Four targets stay native:
+//
+//  * pmemlib        — a per-slot locked tx read-modify-write of a root
+//                     slot is not a KV op.
+//  * novafs         — the adapter's put is write + truncate, two log
+//                     appends, so it is not crash-atomic, and the
+//                     workload explores renames a KV op never issues.
+//  * lsmkv          — its group-commit windows read
+//                     Db::pending_records(), which StoreIface does not
+//                     expose.
+//  * sharded-lsmkv  — per-shard locks taken in ascending order for
+//                     cross-shard batches, plus a donor thread paying
+//                     background compaction under the shard's lock.
+//
 // Locking model: the logical threads are strictly serialized by the
 // interleaver, but the stores themselves are single-threaded code, so
 // each target takes the SchedLocks a real concurrent implementation

@@ -647,9 +647,10 @@ bool ShardedStore::rebuild_step(sim::ThreadCtx& ctx) {
       }
       case RebuildJob::Phase::kSalvage: {
         // Single-copy mode: the lines are healed (zeroed); reopen in
-        // place and let the family's redundant metadata (lsmkv
-        // RecoveryInfo, pool backups) salvage what it can. Unsalvageable
-        // state is reformatted empty — bounded loss, never garbage.
+        // place and let the family's repair_media (redundant metadata,
+        // structure repair, pool scrub) salvage what it can.
+        // Unsalvageable state is reformatted empty — bounded loss, never
+        // garbage.
         shards_[p] = make_store(opts_.kind, *ns_[p], opts_.tuning);
         bool usable = false;
         {
@@ -726,6 +727,12 @@ Status ShardedStore::check(sim::ThreadCtx& ctx) {
     }
   }
   return Status::Ok();
+}
+
+bool ShardedStore::damage_reported() const {
+  for (const auto& s : shards_)
+    if (s->damage_reported()) return true;
+  return false;
 }
 
 }  // namespace xp::workload

@@ -35,8 +35,8 @@
 // every replication/health structure stays empty and the frontend is
 // byte-and-timing-identical to the pre-resilience frontend; a
 // quarantined store is instead salvaged in place through the family's
-// repair-at-open path (lsmkv RecoveryInfo), accepting bounded data loss
-// but never serving garbage.
+// repair_media (lsmkv RecoveryInfo repair, cmap/stree chain repair plus
+// pool scrub), accepting bounded data loss but never serving garbage.
 //
 // The typed try_* request path adds bounded retry with deterministic
 // simulated-time backoff under a per-op deadline budget: kUnavailable
@@ -171,6 +171,8 @@ class ShardedStore final : public StoreIface {
   // Verifies the serving shards; shards under repair are skipped (their
   // state is transitional by construction).
   Status check(sim::ThreadCtx& ctx) override;
+  // True if any store's last open/repair reported damaged media.
+  bool damage_reported() const override;
 
   // Typed request path: replication-aware routing, health tracking,
   // bounded retry + deadline budget (see file comment).

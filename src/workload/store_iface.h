@@ -4,11 +4,15 @@
 // any of them interchangeably.
 //
 // Adapters are thin: each owns its store (and pool, where the store
-// needs one) over a caller-provided PmemNamespace, translates the
-// paper-rule tuning knobs (StoreTuning) into the store's own options,
-// and leaves the store's timing untouched — driving a store through its
-// adapter is telemetry-identical to driving it directly (asserted by
-// tests/workload_test.cc).
+// needs one) over a caller-provided PmemNamespace, is built from the
+// family's own options (make_*_store) or from the paper-rule tuning
+// knobs (make_store, StoreTuning), and leaves the store's timing
+// untouched — driving a store through its adapter is telemetry-identical
+// to driving it directly (asserted by tests/workload_test.cc). Adapters
+// also own their family's recovery: check() validates the whole
+// persistent image (for cmap/stree the pool metadata too) and
+// repair_media() runs the family's salvage, so harnesses written against
+// StoreIface need no per-family recovery code.
 #pragma once
 
 #include <memory>
@@ -21,6 +25,14 @@
 #include "sim/scheduler.h"
 #include "sim/status.h"
 #include "xpsim/platform.h"
+
+namespace xp::kv {
+struct DbOptions;
+}
+namespace xp::pmemkv {
+struct CMapOptions;
+struct STreeOptions;
+}
 
 namespace xp::workload {
 
@@ -144,12 +156,29 @@ class StoreIface {
   // machine checks. Adapters over a single namespace return its platform.
   virtual hw::Platform* platform_of() const { return nullptr; }
 
-  // Family-specific media salvage after poisoned lines were healed
-  // (zero-filled): re-derive consistency from redundant metadata where
-  // the family keeps any (lsmkv RecoveryInfo repair), then re-verify.
+  // Family-specific media salvage, called after open() — also after an
+  // open() that threw hw::MediaError: excise or quarantine damaged
+  // structure (lsmkv RecoveryInfo repair, cmap/stree chain repair plus
+  // pool scrub and free-list repair), then re-verify. ErrorCode::kDataLoss
+  // is a typed, reported total loss (no readable store to salvage).
   virtual Status repair_media(sim::ThreadCtx& ctx) { return check(ctx); }
+
+  // Whether the last open()/repair_media() reported damaged media (and so
+  // possibly lost committed data). Read-only; stores with no damage
+  // reporting say false.
+  virtual bool damage_reported() const { return false; }
 };
 
+// One factory per KV family, over the family's own options (novafs is
+// built only through make_store).
+std::unique_ptr<StoreIface> make_lsmkv_store(hw::PmemNamespace& ns,
+                                             const kv::DbOptions& opts);
+std::unique_ptr<StoreIface> make_cmap_store(hw::PmemNamespace& ns,
+                                            const pmemkv::CMapOptions& opts);
+std::unique_ptr<StoreIface> make_stree_store(
+    hw::PmemNamespace& ns, const pmemkv::STreeOptions& opts);
+
+// The StoreTuning -> family options mapping on top of those factories.
 std::unique_ptr<StoreIface> make_store(StoreKind kind, hw::PmemNamespace& ns,
                                        const StoreTuning& tuning = {});
 

@@ -1,6 +1,7 @@
-// StoreIface adapters for the four store families. Each translates the
-// shared StoreTuning knobs into the store's own options and forwards
-// ops 1:1, adding no simulated time of its own.
+// StoreIface adapters for the four store families. Each is built from
+// the family's own options (make_*_store), forwards ops 1:1 and adds no
+// simulated time of its own; make_store maps the shared StoreTuning
+// knobs onto those options.
 #include "workload/store_iface.h"
 
 #include <cassert>
@@ -102,29 +103,19 @@ namespace {
 
 class LsmkvStore final : public StoreIface {
  public:
-  LsmkvStore(hw::PmemNamespace& ns, const StoreTuning& t)
-      : ns_(ns), db_(ns, make_opts(t)) {}
-
-  static kv::DbOptions make_opts(const StoreTuning& t) {
-    kv::DbOptions o;
-    // Shard namespaces are tens of MiB, not the 256 MiB single-store
-    // benches use; a WAL a few times the memtable is plenty (it is
-    // truncated at every flush).
-    o.wal_capacity = 4 << 20;
-    o.memtable_bytes = t.memtable_bytes;
-    o.wal_group_commit = t.write_combine;
-    o.wal_group_size = t.wal_group_size;
-    o.sst_residency = t.read_path;
-    o.read_combine = t.read_path;
-    o.read_cache_lines = t.read_path ? t.read_cache_lines : 0;
-    o.background_compaction = t.background_compaction;
-    return o;
-  }
+  LsmkvStore(hw::PmemNamespace& ns, const kv::DbOptions& o)
+      : ns_(ns), db_(ns, o) {}
 
   const char* name() const override { return "lsmkv"; }
   StoreKind kind() const override { return StoreKind::kLsmkv; }
-  void create(sim::ThreadCtx& ctx) override { db_.create(ctx); }
-  bool open(sim::ThreadCtx& ctx) override { return db_.open(ctx); }
+  void create(sim::ThreadCtx& ctx) override {
+    db_.create(ctx);
+    opened_ = true;
+  }
+  bool open(sim::ThreadCtx& ctx) override {
+    opened_ = db_.open(ctx);  // may throw: repair_media reports the loss
+    return opened_;
+  }
   void put(sim::ThreadCtx& ctx, std::string_view k,
            std::string_view v) override {
     db_.put(ctx, k, v);
@@ -156,42 +147,53 @@ class LsmkvStore final : public StoreIface {
   Status check(sim::ThreadCtx& ctx) override { return db_.check(ctx); }
   hw::Platform* platform_of() const override { return &ns_.platform(); }
   Status repair_media(sim::ThreadCtx& ctx) override {
+    // Critical metadata unreadable even after the manifest/pool backups.
+    if (!opened_) return Status::DataLoss("no readable database");
     db_.repair(ctx);  // RecoveryInfo-driven salvage: quarantine bad SSTs
     return db_.check(ctx);
+  }
+  bool damage_reported() const override {
+    return db_.recovery().damaged() || db_.pool().recovery().damaged();
   }
 
  private:
   hw::PmemNamespace& ns_;
   kv::Db db_;
+  bool opened_ = false;
 };
 
-class CMapStore final : public StoreIface {
+// cmap and stree: a structure on a pmem::Pool, so check() and
+// repair_media() cover the pool's header, lanes and free list as well as
+// the structure itself.
+template <typename Map, typename Options, StoreKind Kind>
+class PoolStore final : public StoreIface {
  public:
-  CMapStore(hw::PmemNamespace& ns, const StoreTuning& t)
-      : ns_(ns), pool_(ns), map_(pool_, make_opts(t)) {}
+  PoolStore(hw::PmemNamespace& ns, const Options& o)
+      : ns_(ns), pool_(ns), map_(pool_, o) {}
 
-  static pmemkv::CMapOptions make_opts(const StoreTuning& t) {
-    pmemkv::CMapOptions o;
-    o.max_writers_per_dimm = t.writers_per_dimm;
-    o.read_combine = t.read_path;
-    o.read_cache_lines = t.read_path ? t.read_cache_lines : 0;
-    return o;
-  }
-
-  const char* name() const override { return "cmap"; }
-  StoreKind kind() const override { return StoreKind::kCmap; }
+  const char* name() const override { return store_kind_name(Kind); }
+  StoreKind kind() const override { return Kind; }
   void create(sim::ThreadCtx& ctx) override {
     pool_.create(ctx, 64);
     map_.create(ctx);
+    pool_open_ = map_open_ = true;
   }
   bool open(sim::ThreadCtx& ctx) override {
-    if (!pool_.open(ctx)) return false;
-    map_.open(ctx);
+    pool_open_ = pool_.open(ctx);
+    if (!pool_open_) return false;
+    map_.open(ctx);  // may throw: repair_media decides what is salvageable
+    map_open_ = true;
     return true;
   }
   void put(sim::ThreadCtx& ctx, std::string_view k,
            std::string_view v) override {
-    map_.put(ctx, k, v);
+    if constexpr (Kind == StoreKind::kStree) {
+      const bool ok = map_.put(ctx, k, v);
+      assert(ok && "stree keys are capped at 31 bytes");
+      (void)ok;
+    } else {
+      map_.put(ctx, k, v);
+    }
   }
   bool get(sim::ThreadCtx& ctx, std::string_view k,
            std::string* v) override {
@@ -200,84 +202,54 @@ class CMapStore final : public StoreIface {
   bool del(sim::ThreadCtx& ctx, std::string_view k) override {
     return map_.remove(ctx, k);
   }
-  bool supports_scan() const override { return false; }  // hash-ordered
-  std::vector<std::pair<std::string, std::string>> scan(
-      sim::ThreadCtx&, std::string_view, std::size_t) override {
-    return {};
-  }
-  Status check(sim::ThreadCtx& ctx) override { return map_.check(ctx); }
-  hw::Platform* platform_of() const override { return &ns_.platform(); }
-
- private:
-  hw::PmemNamespace& ns_;
-  pmem::Pool pool_;
-  pmemkv::CMap map_;
-};
-
-class STreeStore final : public StoreIface {
- public:
-  STreeStore(hw::PmemNamespace& ns, const StoreTuning& t)
-      : ns_(ns), pool_(ns), tree_(pool_, make_opts(t)) {}
-
-  static pmemkv::STreeOptions make_opts(const StoreTuning& t) {
-    pmemkv::STreeOptions o;
-    o.read_combine = t.read_path;
-    o.read_cache_lines = t.read_path ? t.read_cache_lines : 0;
-    return o;
-  }
-
-  const char* name() const override { return "stree"; }
-  StoreKind kind() const override { return StoreKind::kStree; }
-  void create(sim::ThreadCtx& ctx) override {
-    pool_.create(ctx, 64);
-    tree_.create(ctx);
-  }
-  bool open(sim::ThreadCtx& ctx) override {
-    if (!pool_.open(ctx)) return false;
-    tree_.open(ctx);
-    return true;
-  }
-  void put(sim::ThreadCtx& ctx, std::string_view k,
-           std::string_view v) override {
-    const bool ok = tree_.put(ctx, k, v);
-    assert(ok && "stree keys are capped at 31 bytes");
-    (void)ok;
-  }
-  bool get(sim::ThreadCtx& ctx, std::string_view k,
-           std::string* v) override {
-    return tree_.get(ctx, k, v);
-  }
-  bool del(sim::ThreadCtx& ctx, std::string_view k) override {
-    return tree_.remove(ctx, k);
-  }
+  // cmap is hash-ordered: no scan.
+  bool supports_scan() const override { return Kind == StoreKind::kStree; }
   std::vector<std::pair<std::string, std::string>> scan(
       sim::ThreadCtx& ctx, std::string_view start, std::size_t n) override {
-    return tree_.scan(ctx, start, n);
+    if constexpr (Kind == StoreKind::kStree) return map_.scan(ctx, start, n);
+    return {};
   }
-  Status check(sim::ThreadCtx& ctx) override { return tree_.check(ctx); }
+  Status check(sim::ThreadCtx& ctx) override {
+    if (Status st = pool_.check(ctx); !st.ok()) return st;
+    return map_.check(ctx);
+  }
   hw::Platform* platform_of() const override { return &ns_.platform(); }
+  Status repair_media(sim::ThreadCtx& ctx) override {
+    if (!pool_open_) return Status::DataLoss("no valid pool header");
+    if (!map_open_ && Kind == StoreKind::kCmap) {
+      // The root pointer to the bucket table is gone. Scrub so the
+      // namespace is at least readable again. (stree's repair copes with
+      // a half-built index: it re-reads the root once damage is mapped.)
+      pool_.repair(ctx);
+      return Status::DataLoss("cmap bucket table unreadable");
+    }
+    map_.repair(ctx);   // excise damaged nodes before scrubbing zeroes them
+    pool_.repair(ctx);  // revalidate the free list over the scrubbed lines
+    return check(ctx);
+  }
+  bool damage_reported() const override {
+    return map_.recovery().damaged() || pool_.recovery().damaged();
+  }
 
  private:
   hw::PmemNamespace& ns_;
   pmem::Pool pool_;
-  pmemkv::STree tree_;
+  Map map_;
+  bool pool_open_ = false;
+  bool map_open_ = false;
 };
+
+using CMapStore =
+    PoolStore<pmemkv::CMap, pmemkv::CMapOptions, StoreKind::kCmap>;
+using STreeStore =
+    PoolStore<pmemkv::STree, pmemkv::STreeOptions, StoreKind::kStree>;
 
 // KV over novafs: one file per key, value = file contents. Ordered scan
 // walks the DRAM name index.
 class NovaStore final : public StoreIface {
  public:
-  NovaStore(hw::PmemNamespace& ns, const StoreTuning& t)
-      : ns_(ns), fs_(ns, make_opts(t)) {}
-
-  static nova::NovaOptions make_opts(const StoreTuning& t) {
-    nova::NovaOptions o;
-    o.datalog = true;  // values are sub-page; embed them in the log
-    o.batch_log_appends = t.write_combine;
-    o.read_combine = t.read_path;
-    o.read_cache_lines = t.read_path ? t.read_cache_lines : 0;
-    return o;
-  }
+  NovaStore(hw::PmemNamespace& ns, const nova::NovaOptions& o)
+      : ns_(ns), fs_(ns, o) {}
 
   const char* name() const override { return "nova"; }
   StoreKind kind() const override { return StoreKind::kNova; }
@@ -328,13 +300,59 @@ class NovaStore final : public StoreIface {
 
 }  // namespace
 
+std::unique_ptr<StoreIface> make_lsmkv_store(hw::PmemNamespace& ns,
+                                             const kv::DbOptions& opts) {
+  return std::make_unique<LsmkvStore>(ns, opts);
+}
+std::unique_ptr<StoreIface> make_cmap_store(
+    hw::PmemNamespace& ns, const pmemkv::CMapOptions& opts) {
+  return std::make_unique<CMapStore>(ns, opts);
+}
+std::unique_ptr<StoreIface> make_stree_store(
+    hw::PmemNamespace& ns, const pmemkv::STreeOptions& opts) {
+  return std::make_unique<STreeStore>(ns, opts);
+}
+
 std::unique_ptr<StoreIface> make_store(StoreKind kind, hw::PmemNamespace& ns,
-                                       const StoreTuning& tuning) {
+                                       const StoreTuning& t) {
+  const std::size_t cache_lines = t.read_path ? t.read_cache_lines : 0;
   switch (kind) {
-    case StoreKind::kLsmkv: return std::make_unique<LsmkvStore>(ns, tuning);
-    case StoreKind::kCmap: return std::make_unique<CMapStore>(ns, tuning);
-    case StoreKind::kStree: return std::make_unique<STreeStore>(ns, tuning);
-    case StoreKind::kNova: return std::make_unique<NovaStore>(ns, tuning);
+    case StoreKind::kLsmkv: {
+      kv::DbOptions o;
+      // Shard namespaces are tens of MiB, not the 256 MiB single-store
+      // benches use; a WAL a few times the memtable is plenty (it is
+      // truncated at every flush).
+      o.wal_capacity = 4 << 20;
+      o.memtable_bytes = t.memtable_bytes;
+      o.wal_group_commit = t.write_combine;
+      o.wal_group_size = t.wal_group_size;
+      o.sst_residency = t.read_path;
+      o.read_combine = t.read_path;
+      o.read_cache_lines = cache_lines;
+      o.background_compaction = t.background_compaction;
+      return make_lsmkv_store(ns, o);
+    }
+    case StoreKind::kCmap: {
+      pmemkv::CMapOptions o;
+      o.max_writers_per_dimm = t.writers_per_dimm;
+      o.read_combine = t.read_path;
+      o.read_cache_lines = cache_lines;
+      return make_cmap_store(ns, o);
+    }
+    case StoreKind::kStree: {
+      pmemkv::STreeOptions o;
+      o.read_combine = t.read_path;
+      o.read_cache_lines = cache_lines;
+      return make_stree_store(ns, o);
+    }
+    case StoreKind::kNova: {
+      nova::NovaOptions o;
+      o.datalog = true;  // values are sub-page; embed them in the log
+      o.batch_log_appends = t.write_combine;
+      o.read_combine = t.read_path;
+      o.read_cache_lines = cache_lines;
+      return std::make_unique<NovaStore>(ns, o);
+    }
   }
   return nullptr;
 }

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <ostream>
 #include <vector>
 
 #include "novafs/daxfs.h"
@@ -36,6 +37,11 @@ struct NovaParam {
   bool datalog;
   const char* name;
 };
+
+// Without this gtest prints the param as a raw byte dump holding the
+// name's load address and struct padding, so the listed test names
+// changed with every relink.
+void PrintTo(const NovaParam& p, std::ostream* os) { *os << p.name; }
 
 class NovaBasics : public ::testing::TestWithParam<NovaParam> {
  protected:

@@ -5,6 +5,7 @@
 
 #include <cstring>
 #include <numeric>
+#include <ostream>
 #include <vector>
 
 #include "xpsim/cache.h"
@@ -123,6 +124,13 @@ struct RywParam {
   std::size_t size;
   std::uint64_t offset;
 };
+
+// Names the case mode-size@offset. Without this gtest prints the param
+// as a raw byte dump holding the mode's load address, so the listed test
+// names changed with every relink.
+void PrintTo(const RywParam& p, std::ostream* os) {
+  *os << p.mode << '-' << p.size << '@' << p.offset;
+}
 
 class ReadYourWrite : public ::testing::TestWithParam<RywParam> {};
 

@@ -562,6 +562,37 @@ TEST(StoreIface, BareAdaptersReturnTypedMediaErrors) {
   }
 }
 
+// cmap and stree live on a pmem::Pool, so the adapter's check() must
+// validate the pool's allocator metadata, not just the map or tree: a
+// structure-intact image with a broken free list fails it.
+TEST(StoreIface, PoolStoresCheckPoolMetadata) {
+  for (const workload::StoreKind kind :
+       {workload::StoreKind::kCmap, workload::StoreKind::kStree}) {
+    hw::Platform platform;
+    auto& ns = platform.optane(32ull << 20);
+    sim::ThreadCtx t = make_thread();
+    auto store = workload::make_store(kind, ns);
+    store->create(t);
+    for (int i = 0; i < 20; ++i)
+      store->put(t, workload::key_name(i), workload::make_value(i, 0, 32));
+    ASSERT_TRUE(store->check(t).ok()) << store->name();
+
+    // Pool header word 5 is the free-list head; a misaligned head points
+    // the allocator at garbage while every map/tree node stays intact.
+    // Everything is written back first and the caches dropped after, so
+    // the reopened store reads the poked durable header.
+    platform.writeback_all_caches();
+    const std::uint64_t bad_free_head = 8;
+    ns.poke(5 * sizeof(std::uint64_t),
+            {reinterpret_cast<const std::uint8_t*>(&bad_free_head),
+             sizeof bad_free_head});
+    ASSERT_EQ(platform.crash(), 0u);
+    auto reopened = workload::make_store(kind, ns);
+    ASSERT_TRUE(reopened->open(t)) << store->name();
+    EXPECT_FALSE(reopened->check(t).ok()) << store->name();
+  }
+}
+
 // K == 1 (replication off): poisoned data surfaces as typed statuses —
 // never an exception, never garbage — the shard walks
 // healthy -> degraded -> quarantined, and the in-place salvage path
