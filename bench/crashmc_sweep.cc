@@ -11,7 +11,8 @@
 // device reads (plus --poison-points at-rest scatter points), runs each
 // store's repair path, and checks the containment contract — recovery or
 // a typed error, never silent corruption. --checksums turns on the
-// optional WAL/log record checksums for the stores that have them.
+// optional WAL/log record checksums for the stores that have them, in
+// either mode.
 //
 // --store NAME runs one target: a panel store, or one of the rows
 // outside the default panel (lsmkv-posix, sharded-lsmkv,
@@ -119,11 +120,9 @@ int main(int argc, char** argv) {
   CrashTraceSink sink(&writer);
 
   // The default panel; a named store may also be one of the extra rows.
-  // Checksums are a fault-campaign option: crash sweeps run stock formats.
-  const bool cs = faults && checksums;
-  auto targets = xp::crashmc::all_targets(cs);
+  auto targets = xp::crashmc::all_targets(checksums);
   if (!only.empty())
-    for (auto& t : xp::crashmc::extra_targets(cs))
+    for (auto& t : xp::crashmc::extra_targets(checksums))
       targets.push_back(std::move(t));
 
   if (faults) {

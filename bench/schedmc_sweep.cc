@@ -10,10 +10,13 @@
 //
 // Usage: schedmc_sweep [--schedules N] [--dfs N] [--crash N] [--seed S]
 //                      [--store NAME] [--fault]
+// --store also reaches the rows outside the default panel
+// (schedmc::extra_targets: sharded-lsmkv).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 
 #include "bench/bench_util.h"
 #include "src/schedmc/explorer.h"
@@ -55,8 +58,14 @@ int main(int argc, char** argv) {
                  "schedules", "distinct", "crash_runs", "histories",
                  "chk_states", "sched/s", "viol");
 
+  // The default panel; a named store may also be one of the extra rows.
+  auto targets = schedmc::all_targets(topts);
+  if (!only.empty())
+    for (auto& t : schedmc::extra_targets(topts))
+      targets.push_back(std::move(t));
+
   bool failed = false;
-  for (auto& target : schedmc::all_targets(topts)) {
+  for (auto& target : targets) {
     if (!only.empty() && only != target->name()) continue;
     const schedmc::Result r = schedmc::explore(*target, opts);
     benchutil::row(

@@ -212,12 +212,8 @@ class NovafsTarget final : public Target {
       } else if (action == 2) {
         // Full-page CoW write.
         const std::uint64_t page = rng.uniform(3);
-        write_model(name, page * nova::NovaFs::kPageSize,
-                    nova::NovaFs::kPageSize, static_cast<char>('A' + op % 26));
-        std::vector<std::uint8_t> buf(nova::NovaFs::kPageSize,
-                                      static_cast<std::uint8_t>('A' + op % 26));
-        const int ino = fs_->open(ctx, name);
-        fs_->write(ctx, ino, page * nova::NovaFs::kPageSize, buf);
+        write(ctx, name, page * nova::NovaFs::kPageSize,
+              nova::NovaFs::kPageSize, static_cast<char>('A' + op % 26));
       } else if (batch_appends_ && action == 3) {
         // Rename onto another live name. Batched, the deletion + insertion
         // dirents commit as one atomic directory-log burst, so the model
@@ -236,23 +232,15 @@ class NovafsTarget final : public Target {
         const std::uint64_t len = 200 + rng.uniform(400);
         const std::uint64_t off =
             (page + 1) * nova::NovaFs::kPageSize - len / 2;
-        write_model(name, off, len, static_cast<char>('a' + op % 26));
-        std::vector<std::uint8_t> buf(len,
-                                      static_cast<std::uint8_t>('a' + op % 26));
-        const int ino = fs_->open(ctx, name);
-        fs_->write(ctx, ino, off, buf);
+        write(ctx, name, off, len, static_cast<char>('a' + op % 26));
       } else {
         // Small write, embedded in the log; stays inside one page.
         const std::uint64_t page = rng.uniform(3);
         const std::uint64_t len = 1 + rng.uniform(400);
         const std::uint64_t in_page =
             rng.uniform(nova::NovaFs::kPageSize - len);
-        write_model(name, page * nova::NovaFs::kPageSize + in_page, len,
-                    static_cast<char>('a' + op % 26));
-        std::vector<std::uint8_t> buf(len,
-                                      static_cast<std::uint8_t>('a' + op % 26));
-        const int ino = fs_->open(ctx, name);
-        fs_->write(ctx, ino, page * nova::NovaFs::kPageSize + in_page, buf);
+        write(ctx, name, page * nova::NovaFs::kPageSize + in_page, len,
+              static_cast<char>('a' + op % 26));
       }
     }
   }
@@ -310,11 +298,14 @@ class NovafsTarget final : public Target {
     return got;
   }
 
-  void write_model(const std::string& name, std::uint64_t off,
-                   std::uint64_t len, char fill) {
+  // `len` bytes of `fill` at `off`, into the model and then the file.
+  void write(sim::ThreadCtx& ctx, const std::string& name, std::uint64_t off,
+             std::uint64_t len, char fill) {
     std::string& content = cur_[name];
     if (content.size() < off + len) content.resize(off + len, '\0');
     std::memset(content.data() + off, fill, len);
+    const std::vector<std::uint8_t> buf(len, static_cast<std::uint8_t>(fill));
+    fs_->write(ctx, fs_->open(ctx, name), off, buf);
   }
 
   bool log_checksum_;
@@ -403,11 +394,7 @@ class KvTarget final : public Target {
 
   hw::Platform& reset() override {
     platform_ = std::make_unique<hw::Platform>();
-    if (row_.shards == 1)
-      ns_ = {&platform_->optane(row_.ns_bytes)};
-    else
-      ns_ = workload::ShardedStore::make_namespaces(*platform_, row_.shards,
-                                                    row_.ns_bytes);
+    ns_ = workload::row_namespaces(*platform_, row_.shards, row_.ns_bytes);
     store_ = row_.make(ns_);
     sim::ThreadCtx ctx = make_thread(0);
     store_->create(ctx);

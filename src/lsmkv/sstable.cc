@@ -363,14 +363,8 @@ void SsTable::Cursor::stage(sim::ThreadCtx& ctx, std::uint64_t p,
   }
   buf_lo_ = p;
   constexpr std::uint64_t kLine = hw::Platform::kXpLineBytes;
-  // Bursts pipeline at streaming MLP; restore the thread's own MLP even
-  // when a poisoned line throws.
-  struct MlpScope {
-    sim::ThreadCtx& ctx;
-    unsigned saved;
-    ~MlpScope() { ctx.set_mlp(saved); }
-  } scope{ctx, ctx.mlp()};
-  ctx.set_mlp(std::max(scope.saved, ns_->platform().timing().default_mlp));
+  // Bursts pipeline at streaming MLP.
+  const sim::MlpScope burst(ctx, ns_->platform().timing().default_mlp);
   while (hi < p + len) {
     const std::uint64_t to = std::min(end_, hi / kLine * kLine + kBurst);
     buf_.resize(to - buf_lo_);

@@ -42,6 +42,7 @@
 #include <vector>
 
 #include "pmemlib/readcache.h"
+#include "sim/scheduler.h"
 #include "xpsim/platform.h"
 
 namespace xp::pmem {
@@ -144,11 +145,11 @@ class LineReader {
     // the issuing thread is latency-bound (mlp = 1). The data dependence a
     // low-mlp thread models lives BETWEEN probes, not within one burst —
     // that is precisely the round-trip collapse of §5.1.
-    const unsigned probe_mlp = ctx.mlp();
-    ctx.set_mlp(std::max(probe_mlp, ns.platform().timing().default_mlp));
-    ns.load(ctx, run,
-            std::span<std::uint8_t>(buf_.data() + (run - lo), end - run));
-    ctx.set_mlp(probe_mlp);
+    {
+      const sim::MlpScope burst(ctx, ns.platform().timing().default_mlp);
+      ns.load(ctx, run,
+              std::span<std::uint8_t>(buf_.data() + (run - lo), end - run));
+    }
     if (cache_ != nullptr) {
       for (std::uint64_t line = run; line + kLine <= end; line += kLine)
         cache_->insert(ctx, line, buf_.data() + (line - lo));

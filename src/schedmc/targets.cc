@@ -1,13 +1,16 @@
 #include "schedmc/targets.h"
 
 #include <cstdint>
-#include <cstring>
 #include <functional>
 #include <map>
+#include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
+#include <string_view>
+#include <vector>
 
-#include "lsmkv/db.h"
+#include "lsmkv/common.h"
 #include "novafs/novafs.h"
 #include "pmemkv/cmap.h"
 #include "pmemkv/stree.h"
@@ -140,29 +143,27 @@ class PmemlibTarget final : public WorkerTarget {
     sim::Rng rng = body_rng(opts_, t);
     for (unsigned op = 0; op < opts_.ops_per_thread; ++op) {
       const unsigned slot = static_cast<unsigned>(rng.uniform(kSlots));
-      if (rng.uniform(4) == 0)
+      const bool read = rng.uniform(4) == 0;
+      ctx.sched_point(sim::SchedPoint::kOpBegin);
+      const bool locked = !elide(opts_);
+      if (locked) locks_[slot].lock(ctx);
+      if (read)
         read_slot(ctx, t, slot);
       else
         bump_slot(ctx, t, slot);
+      if (locked) locks_[slot].unlock(ctx);
     }
   }
 
   void read_slot(sim::ThreadCtx& ctx, unsigned t, unsigned slot) {
-    ctx.sched_point(sim::SchedPoint::kOpBegin);
-    const bool locked = !elide(opts_);
-    if (locked) locks_[slot].lock(ctx);
     const std::size_t id = history_.invoke(t, OpKind::kGet, key(slot));
     const auto v = ns_->load_pod<std::uint64_t>(ctx, root_ + slot * 8);
     history_.respond(id, true, std::to_string(v));
     history_.mark_must_include(id);
-    if (locked) locks_[slot].unlock(ctx);
   }
 
   void bump_slot(sim::ThreadCtx& ctx, unsigned t, unsigned slot) {
-    ctx.sched_point(sim::SchedPoint::kOpBegin);
     const std::uint64_t off = root_ + slot * 8;
-    const bool locked = !elide(opts_);
-    if (locked) locks_[slot].lock(ctx);
     const auto old = ns_->load_pod<std::uint64_t>(ctx, off);
     const std::uint64_t nv = old + 1;
     const std::size_t id = history_.invoke(t, OpKind::kRmw, key(slot));
@@ -175,195 +176,12 @@ class PmemlibTarget final : public WorkerTarget {
     }
     history_.respond(id, true, std::to_string(old));
     history_.mark_must_include(id);
-    if (locked) locks_[slot].unlock(ctx);
   }
 
   hw::PmemNamespace* ns_ = nullptr;
   std::unique_ptr<pmem::Pool> pool_;
   std::uint64_t root_ = 0;
   SchedLock locks_[kSlots];
-};
-
-// --------------------------------------------------------------- lsmkv --
-
-// Group-committed LSM store under one db-wide lock (memtable, WAL, and
-// manifest are shared). Durability tracking mirrors the leader/follower
-// protocol: every mutation joins the current group-commit window; when
-// pending_records() drains to zero the whole window became durable and
-// its ops are promoted to must-include.
-class LsmkvTarget final : public WorkerTarget {
- public:
-  explicit LsmkvTarget(const TargetOptions& o) : WorkerTarget(o) {}
-
-  const char* name() const override { return "lsmkv"; }
-
-  void reset() override {
-    platform_ = std::make_unique<hw::Platform>();
-    ns_ = &platform_->optane(8 << 20);
-    db_ = std::make_unique<kv::Db>(*ns_, db_options());
-    sim::ThreadCtx ctx = service_ctx();
-    db_->create(ctx);
-    platform_->reset_timing();
-    history_.clear();
-    window_ops_.clear();
-    window_id_ = 1;
-  }
-
-  std::map<std::string, std::string> live_state() override {
-    sim::ThreadCtx ctx = service_ctx();
-    return read_all(*db_, ctx);
-  }
-
-  bool recover(std::map<std::string, std::string>* out,
-               std::string* error) override {
-    sim::ThreadCtx ctx = service_ctx(33);
-    kv::Db db(*ns_, db_options());
-    if (!db.open(ctx)) {
-      *error = "db.open() failed";
-      return false;
-    }
-    if (Status st = db.check(ctx); !st.ok()) {
-      *error = st.to_string();
-      return false;
-    }
-    *out = read_all(db, ctx);
-    return true;
-  }
-
- private:
-  static constexpr unsigned kKeys = 5;
-
-  static std::string key(unsigned i) { return "k" + std::to_string(i); }
-
-  kv::DbOptions db_options() const {
-    kv::DbOptions o;
-    o.wal = kv::WalMode::kFlex;
-    o.memtable = kv::MemtableMode::kVolatile;
-    o.wal_capacity = 1 << 20;
-    o.memtable_bytes = 2 << 10;
-    o.l0_compaction_trigger = 2;
-    o.sync_every_op = true;
-    o.wal_checksum = true;
-    o.wal_group_commit = true;
-    o.wal_group_size = 3;
-    return o;
-  }
-
-  std::map<std::string, std::string> read_all(kv::Db& db,
-                                              sim::ThreadCtx& ctx) {
-    std::map<std::string, std::string> s;
-    for (unsigned i = 0; i < kKeys; ++i) {
-      std::string v;
-      if (db.get(ctx, key(i), &v)) s[key(i)] = v;
-    }
-    std::string v;
-    if (db.get(ctx, "ctr", &v)) s["ctr"] = v;
-    return s;
-  }
-
-  // Called with db_lock_ held, right after the mutation `id` was issued.
-  void ack_write(std::size_t id) {
-    history_.respond(id);
-    history_.set_group(id, window_id_);
-    window_ops_.push_back(id);
-    if (db_->pending_records() == 0) {
-      // The group committed (threshold reached or a flush drained it):
-      // every op in the window is now acknowledged durable.
-      for (const std::size_t w : window_ops_) history_.mark_must_include(w);
-      window_ops_.clear();
-      ++window_id_;
-    }
-  }
-
-  // Called with db_lock_ held, right after the read `id` was answered.
-  // A get may have observed memtable data whose WAL records still sit in
-  // the open group-commit window; if the machine dies before that group
-  // syncs, the observed write is gone, and an observation that *must*
-  // linearize would then be unexplainable (the dirty-read durability
-  // anomaly inherent to group commit). Reads therefore inherit the open
-  // window's commit dependency: immediately durable only when nothing is
-  // pending, otherwise promoted together with the window they read under.
-  void ack_read(std::size_t id) {
-    if (db_->pending_records() == 0) {
-      history_.mark_must_include(id);
-    } else {
-      history_.set_group(id, window_id_);
-      window_ops_.push_back(id);
-    }
-  }
-
-  void body(sim::ThreadCtx& ctx, unsigned t) override {
-    sim::Rng rng = body_rng(opts_, t);
-    for (unsigned op = 0; op < opts_.ops_per_thread; ++op) {
-      const unsigned r = static_cast<unsigned>(rng.uniform(8));
-      const std::string k = key(static_cast<unsigned>(rng.uniform(kKeys)));
-      ctx.sched_point(sim::SchedPoint::kOpBegin);
-      if (r < 3) {
-        const std::string val =
-            "v" + std::to_string(t) + "_" + std::to_string(op);
-        SchedLockGuard g(db_lock_, ctx);
-        const std::size_t id = history_.invoke(t, OpKind::kPut, k, val);
-        history_.stage_write(id);
-        db_->put(ctx, k, val);
-        ack_write(id);
-      } else if (r < 5) {
-        SchedLockGuard g(db_lock_, ctx);
-        const std::size_t id = history_.invoke(t, OpKind::kGet, k);
-        std::string v;
-        const bool found = db_->get(ctx, k, &v);
-        history_.respond(id, found, v);
-        ack_read(id);
-      } else if (r < 6) {
-        SchedLockGuard g(db_lock_, ctx);
-        const std::size_t id = history_.invoke(t, OpKind::kDel, k);
-        history_.stage_write(id);
-        db_->del(ctx, k);
-        ack_write(id);
-      } else {
-        bump_counter(ctx, t);
-      }
-    }
-  }
-
-  // Counter increment: get + put composed into one atomic RMW under the
-  // db lock — unless the fault elides it into two separate critical
-  // sections, re-creating the classic lost-update race.
-  void bump_counter(sim::ThreadCtx& ctx, unsigned t) {
-    const std::size_t id = history_.invoke(t, OpKind::kRmw, "ctr");
-    if (elide(opts_)) {
-      bool found;
-      std::string v;
-      {
-        SchedLockGuard g(db_lock_, ctx);
-        found = db_->get(ctx, "ctr", &v);
-      }
-      // Lock dropped between read and write: the seeded regression.
-      ctx.sched_point(sim::SchedPoint::kHandoff);
-      const std::string nv = next_value(found, v);
-      history_.stage_write(id, found, found ? v : std::string(), nv);
-      SchedLockGuard g(db_lock_, ctx);
-      db_->put(ctx, "ctr", nv);
-      ack_write(id);
-    } else {
-      SchedLockGuard g(db_lock_, ctx);
-      std::string v;
-      const bool found = db_->get(ctx, "ctr", &v);
-      const std::string nv = next_value(found, v);
-      history_.stage_write(id, found, found ? v : std::string(), nv);
-      db_->put(ctx, "ctr", nv);
-      ack_write(id);
-    }
-  }
-
-  static std::string next_value(bool found, const std::string& v) {
-    return std::to_string((found ? std::stoll(v) : 0) + 1);
-  }
-
-  hw::PmemNamespace* ns_ = nullptr;
-  std::unique_ptr<kv::Db> db_;
-  SchedLock db_lock_;
-  std::vector<std::size_t> window_ops_;
-  std::uint64_t window_id_ = 1;
 };
 
 // -------------------------------------------------------------- novafs --
@@ -424,20 +242,27 @@ class NovafsTarget final : public WorkerTarget {
     return o;
   }
 
+  // A file's whole content; nullopt when it does not exist.
+  static std::optional<std::string> read_file(nova::NovaFs& fs,
+                                              sim::ThreadCtx& ctx,
+                                              const std::string& name) {
+    const int ino = fs.open(ctx, name);
+    if (ino < 0) return std::nullopt;
+    const std::uint64_t sz = fs.size(ctx, ino);
+    std::string content(sz, '\0');
+    if (sz != 0)
+      fs.read(ctx, ino, 0,
+              std::span<std::uint8_t>(
+                  reinterpret_cast<std::uint8_t*>(content.data()), sz));
+    return content;
+  }
+
   std::map<std::string, std::string> read_all(nova::NovaFs& fs,
                                               sim::ThreadCtx& ctx) {
     std::map<std::string, std::string> s;
-    for (unsigned i = 0; i < kNames; ++i) {
-      const int ino = fs.open(ctx, fname(i));
-      if (ino < 0) continue;
-      const std::uint64_t sz = fs.size(ctx, ino);
-      std::string content(sz, '\0');
-      if (sz != 0)
-        fs.read(ctx, ino, 0,
-                std::span<std::uint8_t>(
-                    reinterpret_cast<std::uint8_t*>(content.data()), sz));
-      s[fname(i)] = content;
-    }
+    for (unsigned i = 0; i < kNames; ++i)
+      if (auto content = read_file(fs, ctx, fname(i)))
+        s[fname(i)] = std::move(*content);
     return s;
   }
 
@@ -467,19 +292,10 @@ class NovafsTarget final : public WorkerTarget {
         history_.mark_must_include(id);
       } else {
         const std::size_t id = history_.invoke(t, OpKind::kGet, fname(fi));
-        const int ino = fs_->open(ctx, fname(fi));
-        if (ino < 0) {
+        if (auto content = read_file(*fs_, ctx, fname(fi)))
+          history_.respond(id, true, std::move(*content));
+        else
           history_.respond(id, false);
-        } else {
-          const std::uint64_t sz = fs_->size(ctx, ino);
-          std::string content(sz, '\0');
-          if (sz != 0)
-            fs_->read(ctx, ino, 0,
-                      std::span<std::uint8_t>(
-                          reinterpret_cast<std::uint8_t*>(content.data()),
-                          sz));
-          history_.respond(id, true, content);
-        }
         history_.mark_must_include(id);
       }
     }
@@ -514,39 +330,105 @@ class NovafsTarget final : public WorkerTarget {
 // ------------------------------------------------------------------ KV --
 
 // One KV store as a concurrent workload, as a row of data. Each op draws
-// r = uniform(8): a put below put_below, a get below get_below, else a
-// delete.
+// r over the sum of the five shares and runs, in this order of shares, a
+// put, a get, a delete, a cross-shard batch or a counter increment.
 struct KvRow {
   const char* name;
-  std::function<std::unique_ptr<workload::StoreIface>(hw::PmemNamespace&)>
+  // 1: one interleaved namespace; N > 1: one per-DIMM namespace each.
+  unsigned shards = 1;
+  std::uint64_t ns_bytes = 8 << 20;
+  std::function<std::unique_ptr<workload::StoreIface>(
+      std::span<hw::PmemNamespace* const>)>
       make;
   // Key universe: key_prefix + index zero-padded to key_width digits.
-  const char* key_prefix;
-  unsigned key_width;
-  unsigned keys;
-  unsigned put_below;
-  unsigned get_below;
-  std::string (*value)(unsigned t, unsigned op, sim::Rng& rng);
+  const char* key_prefix = "k";
+  unsigned key_width = 0;
+  unsigned keys = 6;
+  unsigned puts = 0;
+  unsigned gets = 0;
+  unsigned dels = 0;
+  // A batch is 2-3 records over the key universe, one in five a delete.
+  unsigned batches = 0;
+  // An increment reads the counter key and writes it back plus one.
+  unsigned rmws = 0;
+  std::string (*value)(unsigned t, unsigned op, sim::Rng& rng) = nullptr;
+  // Filler records written before the run; initial_state() returns them.
+  unsigned preload = 0;
+  // Background turns donated by one extra logical thread.
+  unsigned bg_turns = 0;
 };
 
-// Drives any StoreIface through its typed try_* surface under one
-// store-wide lock (the structure is shared state). Every op is durable
-// when it returns, so each is must-include once acknowledged.
+// The SchedLocks of the shards in `mask`, taken in ascending shard order
+// and released in descending order, so no two holders can deadlock.
+class ShardLocks {
+ public:
+  ShardLocks(std::vector<SchedLock>& locks, sim::ThreadCtx& ctx,
+             std::uint64_t mask)
+      : locks_(locks), ctx_(ctx), mask_(mask) {
+    for (std::size_t s = 0; s < locks_.size(); ++s)
+      if ((mask_ >> s) & 1) locks_[s].lock(ctx_);
+  }
+  // A release is a yield point, as in SchedLockGuard.
+  ~ShardLocks() noexcept(false) {
+    for (std::size_t s = locks_.size(); s-- > 0;)
+      if ((mask_ >> s) & 1) locks_[s].unlock(ctx_);
+  }
+  ShardLocks(const ShardLocks&) = delete;
+  ShardLocks& operator=(const ShardLocks&) = delete;
+
+ private:
+  std::vector<SchedLock>& locks_;
+  sim::ThreadCtx& ctx_;
+  std::uint64_t mask_;
+};
+
+// Drives any StoreIface through its typed try_* surface. Each store
+// instance is single-threaded code, so each shard has one SchedLock: a
+// single-key op takes its key's shard lock, a batch every lock it
+// touches, and a donated background turn, which may work on any shard,
+// all of them. With one shard that is one store-wide lock.
+//
+// Durability follows StoreIface::pending_records(). A write joins the
+// open group-commit window of its shard; once the count reads 0 every
+// window has committed and its ops become must-include. Stores that are
+// durable at return read 0 after every op, so each op is must-include
+// as soon as it returns. A window is one history group per shard, and
+// each shard's slice of a batch (one crash-atomic WAL group) shares its
+// shard's group, so no group spans two shards.
 class KvTarget final : public WorkerTarget {
  public:
   KvTarget(KvRow row, const TargetOptions& o)
-      : WorkerTarget(o), row_(std::move(row)) {}
+      : WorkerTarget(o), row_(std::move(row)), locks_(row_.shards) {}
 
   const char* name() const override { return row_.name; }
 
   void reset() override {
     platform_ = std::make_unique<hw::Platform>();
-    ns_ = &platform_->optane(8 << 20);
-    store_ = row_.make(*ns_);
+    ns_ = workload::row_namespaces(*platform_, row_.shards, row_.ns_bytes);
+    store_ = row_.make(ns_);
     sim::ThreadCtx ctx = service_ctx();
     store_->create(ctx);
+    for (unsigned i = 0; i < row_.preload; ++i)
+      store_->try_put(ctx, filler_key(i), filler_value(i));
     platform_->reset_timing();
     history_.clear();
+    window_ops_.clear();
+    window_ = 0;
+  }
+
+  std::vector<ThreadSpec> specs() override {
+    std::vector<ThreadSpec> v = WorkerTarget::specs();
+    if (row_.bg_turns != 0)
+      v.push_back({worker_opts(opts_, opts_.threads),
+                   [this](sim::ThreadCtx& ctx) {
+                     for (unsigned i = 0; i < row_.bg_turns; ++i) {
+                       ctx.sched_point(sim::SchedPoint::kOpBegin);
+                       // The turn may work on any shard.
+                       ShardLocks g(locks_, ctx, ~std::uint64_t{0});
+                       store_->background_turn(ctx);
+                     }
+                   }});
+    return v;
   }
 
   std::map<std::string, std::string> live_state() override {
@@ -557,7 +439,7 @@ class KvTarget final : public WorkerTarget {
   bool recover(std::map<std::string, std::string>* out,
                std::string* error) override {
     sim::ThreadCtx ctx = service_ctx(33);
-    const std::unique_ptr<workload::StoreIface> store = row_.make(*ns_);
+    const std::unique_ptr<workload::StoreIface> store = row_.make(ns_);
     if (!store->open(ctx)) {
       *error = "open() found no valid store";
       return false;
@@ -570,7 +452,23 @@ class KvTarget final : public WorkerTarget {
     return true;
   }
 
+  std::map<std::string, std::string> initial_state() override {
+    std::map<std::string, std::string> s;
+    for (unsigned i = 0; i < row_.preload; ++i)
+      s[filler_key(i)] = filler_value(i);
+    return s;
+  }
+
  private:
+  // 400 B fillers over 2 KB memtables flush every few records, so a
+  // preload of dozens leaves an LSM store with merges pending.
+  static std::string filler_key(unsigned i) { return "f" + std::to_string(i); }
+  static std::string filler_value(unsigned i) {
+    return std::string(400, static_cast<char>('a' + i % 26));
+  }
+
+  static constexpr const char* kCounter = "ctr";
+
   std::string key(unsigned i) const {
     std::string digits = std::to_string(i);
     if (digits.size() < row_.key_width)
@@ -578,31 +476,95 @@ class KvTarget final : public WorkerTarget {
     return row_.key_prefix + digits;
   }
 
+  unsigned shard(std::string_view k) const {
+    return workload::shard_of(k, row_.shards);
+  }
+
   std::map<std::string, std::string> read_all(workload::StoreIface& store,
                                               sim::ThreadCtx& ctx) {
     std::map<std::string, std::string> s;
-    for (unsigned i = 0; i < row_.keys; ++i) {
+    auto probe = [&](const std::string& k) {
       std::string v;
-      if (store.try_get(ctx, key(i), &v).ok()) s[key(i)] = v;
-    }
+      if (store.try_get(ctx, k, &v).ok()) s[k] = v;
+    };
+    for (unsigned i = 0; i < row_.keys; ++i) probe(key(i));
+    if (row_.rmws != 0) probe(kCounter);
+    for (unsigned i = 0; i < row_.preload; ++i) probe(filler_key(i));
     return s;
+  }
+
+  // The history group of shard s's open window.
+  std::uint64_t group(unsigned s) const {
+    return window_ * row_.shards + s + 1;
+  }
+
+  // Once nothing is pending, every open window has committed. The count
+  // is a sum over shards, so it cannot tell one shard's committed window
+  // from another's open one: a shard would reuse its group id for writes
+  // after its own commit, and a crash between the two shards' commits
+  // would then read as a torn group. A multi-shard row therefore must not
+  // combine writes; reaching a nonzero count on one is an error.
+  void settle() {
+    if (store_->pending_records() == 0) {
+      for (const std::size_t w : window_ops_) history_.mark_must_include(w);
+      window_ops_.clear();
+      ++window_;
+    } else if (row_.shards > 1) {
+      throw std::logic_error("KvTarget: write combining on a multi-shard row");
+    }
+  }
+
+  // Called with the shard lock held, after write `id` returned: it
+  // joins its shard's open window.
+  void ack_write(std::size_t id, unsigned s) {
+    history_.set_group(id, group(s));
+    window_ops_.push_back(id);
+    settle();
+  }
+
+  // Called with the shard lock held, after read `id` was answered. A get
+  // may have observed memtable data whose WAL records still sit in the
+  // open group-commit window; if the machine dies before that group
+  // syncs, the observed write is gone, and an observation that *must*
+  // linearize would then be unexplainable (the dirty-read durability
+  // anomaly inherent to group commit). Reads therefore inherit the open
+  // window's commit dependency: immediately durable only when nothing is
+  // pending, otherwise promoted together with the window they read under.
+  void ack_read(std::size_t id, unsigned s) {
+    if (store_->pending_records() == 0)
+      history_.mark_must_include(id);
+    else
+      ack_write(id, s);
   }
 
   void body(sim::ThreadCtx& ctx, unsigned t) override {
     sim::Rng rng = body_rng(opts_, t);
+    const unsigned get_at = row_.puts + row_.gets;
+    const unsigned del_at = get_at + row_.dels;
+    const unsigned batch_at = del_at + row_.batches;
     for (unsigned op = 0; op < opts_.ops_per_thread; ++op) {
-      const unsigned r = static_cast<unsigned>(rng.uniform(8));
+      const unsigned r =
+          static_cast<unsigned>(rng.uniform(batch_at + row_.rmws));
       const std::string k = key(static_cast<unsigned>(rng.uniform(row_.keys)));
       ctx.sched_point(sim::SchedPoint::kOpBegin);
-      SchedLockGuard g(lock_, ctx);
+      if (r >= del_at) {
+        if (r >= batch_at)
+          bump_counter(ctx, t);
+        else
+          batch(ctx, t, op, rng);
+        continue;
+      }
+      const unsigned s = shard(k);
+      ShardLocks g(locks_, ctx, std::uint64_t{1} << s);
       std::size_t id;
-      if (r < row_.put_below) {
+      const bool read = r >= row_.puts && r < get_at;
+      if (r < row_.puts) {
         const std::string val = row_.value(t, op, rng);
         id = history_.invoke(t, OpKind::kPut, k, val);
         history_.stage_write(id);
         store_->try_put(ctx, k, val);
         history_.respond(id);
-      } else if (r < row_.get_below) {
+      } else if (r < get_at) {
         id = history_.invoke(t, OpKind::kGet, k);
         std::string v;
         const bool found = store_->try_get(ctx, k, &v).ok();
@@ -612,268 +574,119 @@ class KvTarget final : public WorkerTarget {
         history_.stage_write(id);
         bool found = false;
         store_->try_del(ctx, k, &found);
-        history_.respond(id, found);
+        if (store_->del_reports_found())
+          history_.respond(id, found);
+        else
+          history_.respond(id);  // a blind tombstone reports nothing
       }
-      history_.mark_must_include(id);
+      if (read)
+        ack_read(id, s);
+      else
+        ack_write(id, s);
     }
   }
 
-  KvRow row_;
-  hw::PmemNamespace* ns_ = nullptr;
-  std::unique_ptr<workload::StoreIface> store_;
-  SchedLock lock_;
-};
-
-// ------------------------------------------------------------- sharded --
-
-// workload::ShardedStore over two per-DIMM lsmkv shards with deferred
-// background compaction. Locking model: each shard instance is
-// single-threaded code, so it gets its own SchedLock; single-key ops
-// take the owning shard's lock, cross-shard batches take every involved
-// lock in ascending shard order (no deadlock by construction) and hold
-// them across the whole dispatch. One extra logical thread donates
-// background-compaction turns, shard lock held — reset() pre-populates
-// enough data that both shards start with compaction debt pending, so
-// exploration interleaves real L0 merges with foreground traffic.
-//
-// Durability: sync_every_op is on and write-combining is off, so a
-// single put/del is durable when it returns, and a per-shard batch
-// group (Db::put_batch, one WAL group burst) is durable — atomically —
-// when the dispatch returns. History groups mirror exactly that unit:
-// one group id per (batch, shard), never one spanning shards.
-class ShardedTarget final : public WorkerTarget {
- public:
-  explicit ShardedTarget(const TargetOptions& o) : WorkerTarget(o) {}
-
-  const char* name() const override { return "sharded-lsmkv"; }
-
-  void reset() override {
-    platform_ = std::make_unique<hw::Platform>();
-    ns_ = workload::ShardedStore::make_namespaces(*platform_, kShards,
-                                                  16ull << 20);
-    store_ = std::make_unique<workload::ShardedStore>(ns_, shard_options());
-    sim::ThreadCtx ctx = service_ctx();
-    store_->create(ctx);
-    // Pre-populate until every shard has scheduled (not run) a merge:
-    // the explorer then interleaves the donated compaction turns with
-    // live traffic instead of exploring an empty background thread.
-    filler_.clear();
-    for (unsigned i = 0; i < kFillers; ++i) {
-      const std::string k = "f" + std::to_string(i);
-      const std::string v(400, 'a' + static_cast<char>(i % 26));
-      store_->put(ctx, k, v);
-      filler_[k] = v;
-    }
-    platform_->reset_timing();
-    history_.clear();
-    next_group_ = 1;
-  }
-
-  std::vector<ThreadSpec> specs() override {
-    std::vector<ThreadSpec> v = WorkerTarget::specs();
-    // The background-compaction donor: walks the shards a few times,
-    // paying one deferred merge per turn under that shard's lock.
-    v.push_back({worker_opts(opts_, opts_.threads),
-                 [this](sim::ThreadCtx& ctx) {
-                   for (unsigned round = 0; round < 3; ++round)
-                     for (unsigned s = 0; s < kShards; ++s) {
-                       ctx.sched_point(sim::SchedPoint::kOpBegin);
-                       SchedLockGuard g(locks_[s], ctx);
-                       store_->shard(s).background_turn(ctx);
-                     }
-                 }});
-    return v;
-  }
-
-  std::map<std::string, std::string> live_state() override {
-    sim::ThreadCtx ctx = service_ctx();
-    return read_all(*store_, ctx);
-  }
-
-  bool recover(std::map<std::string, std::string>* out,
-               std::string* error) override {
-    sim::ThreadCtx ctx = service_ctx(33);
-    workload::ShardedStore store(ns_, shard_options());
-    if (!store.open(ctx)) {
-      *error = "sharded open() failed";
-      return false;
-    }
-    if (Status st = store.check(ctx); !st.ok()) {
-      *error = st.to_string();
-      return false;
-    }
-    *out = read_all(store, ctx);
-    return true;
-  }
-
-  std::map<std::string, std::string> initial_state() override {
-    return filler_;
-  }
-
- private:
-  static constexpr unsigned kShards = 2;
-  static constexpr unsigned kKeys = 6;
-  // 48 x 400 B spread over two 2 KB-memtable shards: ~9 flushes per
-  // shard, past the default l0_compaction_trigger, so both shards carry
-  // pending debt when the run starts.
-  static constexpr unsigned kFillers = 48;
-
-  static std::string key(unsigned i) { return "k" + std::to_string(i); }
-
-  workload::ShardOptions shard_options() const {
-    workload::ShardOptions so;
-    so.kind = workload::StoreKind::kLsmkv;
-    so.tuning.memtable_bytes = 2 << 10;
-    so.tuning.background_compaction = true;
-    so.writer_lanes = true;
-    return so;
-  }
-
-  std::map<std::string, std::string> read_all(workload::ShardedStore& s,
-                                              sim::ThreadCtx& ctx) {
-    std::map<std::string, std::string> out;
-    auto probe = [&](const std::string& k) {
-      std::string v;
-      if (s.get(ctx, k, &v)) out[k] = v;
-    };
-    for (unsigned i = 0; i < kKeys; ++i) probe(key(i));
-    probe("ctr");
-    for (const auto& [k, v] : filler_) probe(k);
-    return out;
-  }
-
-  void body(sim::ThreadCtx& ctx, unsigned t) override {
-    sim::Rng rng = body_rng(opts_, t);
-    for (unsigned op = 0; op < opts_.ops_per_thread; ++op) {
-      const unsigned r = static_cast<unsigned>(rng.uniform(10));
-      const std::string k = key(static_cast<unsigned>(rng.uniform(kKeys)));
-      const unsigned s = workload::shard_of(k, kShards);
-      ctx.sched_point(sim::SchedPoint::kOpBegin);
-      if (r < 3) {
-        const std::string val =
-            "v" + std::to_string(t) + "_" + std::to_string(op);
-        SchedLockGuard g(locks_[s], ctx);
-        const std::size_t id = history_.invoke(t, OpKind::kPut, k, val);
-        history_.stage_write(id);
-        store_->put(ctx, k, val);
-        history_.respond(id);
-        history_.mark_must_include(id);
-      } else if (r < 5) {
-        SchedLockGuard g(locks_[s], ctx);
-        const std::size_t id = history_.invoke(t, OpKind::kGet, k);
-        std::string v;
-        const bool found = store_->get(ctx, k, &v);
-        history_.respond(id, found, v);
-        history_.mark_must_include(id);
-      } else if (r < 6) {
-        SchedLockGuard g(locks_[s], ctx);
-        const std::size_t id = history_.invoke(t, OpKind::kDel, k);
-        history_.stage_write(id);
-        store_->del(ctx, k);
-        history_.respond(id);  // lsmkv dels are blind; no found to check
-        history_.mark_must_include(id);
-      } else if (r < 8) {
-        batch(ctx, t, op, rng);
-      } else {
-        bump_counter(ctx, t);
-      }
-    }
-  }
-
-  // Cross-shard batched dispatch: 2-3 keys, locks taken in ascending
-  // shard order and held across the dispatch; ShardedStore::apply_batch
-  // commits one WAL group per involved shard, so each shard's slice of
-  // the history shares one group id and distinct shards never do.
   void batch(sim::ThreadCtx& ctx, unsigned t, unsigned op, sim::Rng& rng) {
-    const unsigned n = 2 + static_cast<unsigned>(rng.uniform(2));
-    std::vector<workload::BatchOp> ops;
-    for (unsigned i = 0; i < n; ++i) {
-      workload::BatchOp b;
-      b.key = key(static_cast<unsigned>(rng.uniform(kKeys)));
+    std::vector<workload::BatchOp> recs(2 + rng.uniform(2));
+    std::uint64_t touched = 0;
+    for (std::size_t i = 0; i < recs.size(); ++i) {
+      workload::BatchOp& b = recs[i];
+      b.key = key(static_cast<unsigned>(rng.uniform(row_.keys)));
       b.del = rng.uniform(5) == 0;
-      if (!b.del)
-        b.value = "b" + std::to_string(t) + "_" + std::to_string(op) + "_" +
-                  std::to_string(i);
-      ops.push_back(std::move(b));
+      if (!b.del) b.value = row_.value(t, op, rng) + "_" + std::to_string(i);
+      touched |= std::uint64_t{1} << shard(b.key);
     }
-    bool involved[kShards] = {};
-    for (const auto& b : ops) involved[workload::shard_of(b.key, kShards)] = true;
-    for (unsigned s = 0; s < kShards; ++s)
-      if (involved[s]) locks_[s].lock(ctx);
-    std::uint64_t group_of[kShards];
-    for (unsigned s = 0; s < kShards; ++s)
-      if (involved[s]) group_of[s] = next_group_++;
-    std::vector<std::size_t> ids;
-    for (const auto& b : ops) {
+    ShardLocks g(locks_, ctx, touched);
+    // The invoke loop does not yield, so the batch's ids are contiguous.
+    // try_apply_batch does: other threads invoke ops meanwhile, and those
+    // are theirs to answer.
+    const std::size_t first = history_.size();
+    for (const workload::BatchOp& b : recs) {
       const std::size_t id = history_.invoke(
           t, b.del ? OpKind::kDel : OpKind::kPut, b.key, b.value);
       history_.stage_write(id);
-      history_.set_group(id, group_of[workload::shard_of(b.key, kShards)]);
-      ids.push_back(id);
+      history_.set_group(id, group(shard(b.key)));
     }
-    store_->apply_batch(ctx, ops);
-    for (const std::size_t id : ids) {
+    store_->try_apply_batch(ctx, recs);
+    for (std::size_t id = first; id < first + recs.size(); ++id) {
       history_.respond(id);
-      history_.mark_must_include(id);
+      window_ops_.push_back(id);
     }
-    for (unsigned s = kShards; s-- > 0;)
-      if (involved[s]) locks_[s].unlock(ctx);
+    settle();
   }
 
-  // Counter RMW under the counter's owning shard lock — or, with the
-  // fault armed, split into two critical sections (the lost update the
-  // oracle must catch, now through the sharded frontend).
+  // Counter increment: get + put composed into one atomic RMW under the
+  // counter's shard lock, unless the fault splits it into two critical
+  // sections, re-creating the classic lost-update race.
   void bump_counter(sim::ThreadCtx& ctx, unsigned t) {
-    const unsigned s = workload::shard_of("ctr", kShards);
-    const std::size_t id = history_.invoke(t, OpKind::kRmw, "ctr");
+    const unsigned s = shard(kCounter);
+    const std::size_t id = history_.invoke(t, OpKind::kRmw, kCounter);
+    std::string v;
+    bool found = false;
     if (elide(opts_)) {
-      bool found;
-      std::string v;
       {
-        SchedLockGuard g(locks_[s], ctx);
-        found = store_->get(ctx, "ctr", &v);
+        ShardLocks g(locks_, ctx, std::uint64_t{1} << s);
+        found = store_->try_get(ctx, kCounter, &v).ok();
       }
+      // Lock dropped between read and write: the seeded regression.
       ctx.sched_point(sim::SchedPoint::kHandoff);
-      const std::string nv = next_value(found, v);
-      history_.stage_write(id, found, found ? v : std::string(), nv);
-      SchedLockGuard g(locks_[s], ctx);
-      store_->put(ctx, "ctr", nv);
-      history_.respond(id, found, found ? v : std::string());
-      history_.mark_must_include(id);
-    } else {
-      SchedLockGuard g(locks_[s], ctx);
-      std::string v;
-      const bool found = store_->get(ctx, "ctr", &v);
-      const std::string nv = next_value(found, v);
-      history_.stage_write(id, found, found ? v : std::string(), nv);
-      store_->put(ctx, "ctr", nv);
-      history_.respond(id, found, found ? v : std::string());
-      history_.mark_must_include(id);
     }
+    ShardLocks g(locks_, ctx, std::uint64_t{1} << s);
+    if (!elide(opts_)) found = store_->try_get(ctx, kCounter, &v).ok();
+    const std::string nv = std::to_string((found ? std::stoll(v) : 0) + 1);
+    history_.stage_write(id, found, found ? v : std::string(), nv);
+    store_->try_put(ctx, kCounter, nv);
+    history_.respond(id);
+    ack_write(id, s);
   }
 
-  static std::string next_value(bool found, const std::string& v) {
-    return std::to_string((found ? std::stoll(v) : 0) + 1);
-  }
-
+  KvRow row_;
+  std::vector<SchedLock> locks_;
   std::vector<hw::PmemNamespace*> ns_;
-  std::unique_ptr<workload::ShardedStore> store_;
-  SchedLock locks_[kShards];
-  std::map<std::string, std::string> filler_;
-  std::uint64_t next_group_ = 1;
+  std::unique_ptr<workload::StoreIface> store_;
+  // Ops whose durability waits on an open group-commit window.
+  std::vector<std::size_t> window_ops_;
+  std::uint64_t window_ = 0;
 };
+
+// "v<thread>_<op>": one writer per value, so a read names its write.
+std::string tagged_value(unsigned t, unsigned op, sim::Rng&) {
+  return "v" + std::to_string(t) + "_" + std::to_string(op);
+}
 
 }  // namespace
 
 std::unique_ptr<Target> make_pmemlib_target(const TargetOptions& opts) {
   return std::make_unique<PmemlibTarget>(opts);
 }
-std::unique_ptr<Target> make_lsmkv_target(const TargetOptions& opts) {
-  return std::make_unique<LsmkvTarget>(opts);
-}
 std::unique_ptr<Target> make_novafs_target(const TargetOptions& opts) {
   return std::make_unique<NovafsTarget>(opts);
 }
+
+// Group commit in windows of 3 records; a 2 KB memtable and an L0
+// trigger of 2 pull flushes and a merge into the run.
+std::unique_ptr<Target> make_lsmkv_target(const TargetOptions& opts) {
+  kv::DbOptions o;  // flex WAL, volatile memtable, synced per op
+  o.wal_capacity = 1 << 20;
+  o.memtable_bytes = 2 << 10;
+  o.l0_compaction_trigger = 2;
+  o.wal_checksum = true;
+  o.wal_group_commit = true;
+  o.wal_group_size = 3;
+  return std::make_unique<KvTarget>(
+      KvRow{.name = "lsmkv",
+            .make = [o](std::span<hw::PmemNamespace* const> ns) {
+              return workload::make_lsmkv_store(*ns[0], o);
+            },
+            .keys = 5,
+            .puts = 3,
+            .gets = 2,
+            .dels = 1,
+            .rmws = 2,
+            .value = tagged_value},
+      opts);
+}
+
 // cmap with bounded writer lanes (the lane admission/release points are
 // schedmc yields). An 8-byte value stays in place, 24 goes
 // transactional.
@@ -882,14 +695,13 @@ std::unique_ptr<Target> make_cmap_target(const TargetOptions& opts) {
   o.max_writers_per_dimm = 2;
   return std::make_unique<KvTarget>(
       KvRow{.name = "cmap",
-            .make = [o](hw::PmemNamespace& ns) {
-              return workload::make_cmap_store(ns, o);
+            .make = [o](std::span<hw::PmemNamespace* const> ns) {
+              return workload::make_cmap_store(*ns[0], o);
             },
             .key_prefix = "c",
-            .key_width = 0,
-            .keys = 6,
-            .put_below = 4,
-            .get_below = 6,
+            .puts = 4,
+            .gets = 2,
+            .dels = 2,
             .value = [](unsigned t, unsigned op, sim::Rng& rng) {
               const std::size_t len = rng.uniform(2) == 0 ? 8 : 24;
               std::string val =
@@ -905,21 +717,46 @@ std::unique_ptr<Target> make_cmap_target(const TargetOptions& opts) {
 std::unique_ptr<Target> make_stree_target(const TargetOptions& opts) {
   return std::make_unique<KvTarget>(
       KvRow{.name = "stree",
-            .make = [](hw::PmemNamespace& ns) {
-              return workload::make_stree_store(ns, pmemkv::STreeOptions{});
+            .make = [](std::span<hw::PmemNamespace* const> ns) {
+              return workload::make_stree_store(*ns[0],
+                                                pmemkv::STreeOptions{});
             },
             .key_prefix = "t",
             .key_width = 2,
             .keys = 12,
-            .put_below = 5,
-            .get_below = 7,
-            .value = [](unsigned t, unsigned op, sim::Rng&) {
-              return "n" + std::to_string(t) + "_" + std::to_string(op);
-            }},
+            .puts = 5,
+            .gets = 2,
+            .dels = 1,
+            .value = tagged_value},
       opts);
 }
+
+// Two per-DIMM lsmkv shards with deferred compaction. Singles are durable
+// at return (no write combining); a batch commits one WAL group per
+// shard it touches. The preload leaves both shards with merges pending,
+// so the donor's turns run real merges against live traffic.
 std::unique_ptr<Target> make_sharded_target(const TargetOptions& opts) {
-  return std::make_unique<ShardedTarget>(opts);
+  workload::ShardOptions so;
+  so.kind = workload::StoreKind::kLsmkv;
+  so.tuning.memtable_bytes = 2 << 10;
+  so.tuning.background_compaction = true;
+  so.writer_lanes = true;
+  return std::make_unique<KvTarget>(
+      KvRow{.name = "sharded-lsmkv",
+            .shards = 2,
+            .ns_bytes = 16ull << 20,
+            .make = [so](std::span<hw::PmemNamespace* const> ns) {
+              return std::make_unique<workload::ShardedStore>(ns, so);
+            },
+            .puts = 3,
+            .gets = 2,
+            .dels = 1,
+            .batches = 2,
+            .rmws = 2,
+            .value = tagged_value,
+            .preload = 48,
+            .bg_turns = 6},
+      opts);
 }
 
 std::vector<std::unique_ptr<Target>> all_targets(const TargetOptions& opts) {
@@ -929,6 +766,12 @@ std::vector<std::unique_ptr<Target>> all_targets(const TargetOptions& opts) {
   v.push_back(make_novafs_target(opts));
   v.push_back(make_cmap_target(opts));
   v.push_back(make_stree_target(opts));
+  return v;
+}
+
+std::vector<std::unique_ptr<Target>> extra_targets(const TargetOptions& opts) {
+  std::vector<std::unique_ptr<Target>> v;
+  v.push_back(make_sharded_target(opts));
   return v;
 }
 

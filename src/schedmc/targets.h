@@ -7,31 +7,33 @@
 // deterministic functions of (workload_seed, thread id), which is what
 // lets the explorer replay a recorded schedule exactly.
 //
-// The KV stores whose ops are each durable at return are one target,
-// KvTarget (targets.cc), written once against workload::StoreIface and
-// driven through its typed try_* surface; a KV target is a row of data
-// (name, store factory, key universe, op mix, value shape), and
-// recovery is the adapter's open() + check(). Four targets stay native:
+// Every KV store is one target, KvTarget (targets.cc), written once
+// against workload::StoreIface and driven through its typed try_*
+// surface. A KV target is a row of data: name, shard count, store
+// factory, key universe, op mix (puts, gets, deletes, cross-shard
+// batches, counter increments), value shape, preload and donated
+// background turns. Recovery is the adapter's open() + check(), and
+// durability is acknowledged through StoreIface::pending_records(), so
+// a group-committed store and a store durable at return share one
+// path. The count is a sum over shards and cannot delimit one shard's
+// commit window, so a multi-shard row must not combine writes; KvTarget
+// reports a nonzero count on one as an error. Two targets stay native,
+// in schedmc as in crashmc:
 //
-//  * pmemlib        — a per-slot locked tx read-modify-write of a root
-//                     slot is not a KV op.
-//  * novafs         — the adapter's put is write + truncate, two log
-//                     appends, so it is not crash-atomic, and the
-//                     workload explores renames a KV op never issues.
-//  * lsmkv          — its group-commit windows read
-//                     Db::pending_records(), which StoreIface does not
-//                     expose.
-//  * sharded-lsmkv  — per-shard locks taken in ascending order for
-//                     cross-shard batches, plus a donor thread paying
-//                     background compaction under the shard's lock.
+//  * pmemlib  — a per-slot locked tx read-modify-write of a root slot
+//               is not a KV op.
+//  * novafs   — the adapter's put is write + truncate, two log appends,
+//               so it is not crash-atomic, and the workload explores
+//               renames a KV op never issues.
 //
 // Locking model: the logical threads are strictly serialized by the
 // interleaver, but the stores themselves are single-threaded code, so
 // each target takes the SchedLocks a real concurrent implementation
-// would take (a per-slot lock for pmemlib's counters, one store-wide
-// lock where internal state is shared — the LSM memtable/WAL, the NOVA
-// directory log, the cmap/stree structures). The explored interleavings
-// then reorder whole critical sections and everything outside them.
+// would take: a per-slot lock for pmemlib's counters, one fs-wide lock
+// for novafs (directory log, page allocator and read staging are
+// shared), and one lock per shard for a KV row (one shard: one
+// store-wide lock). The explored interleavings then reorder whole
+// critical sections and everything outside them.
 //
 // TestFault::kElideRmwLock deliberately breaks the read-modify-write
 // critical section — the lock is dropped between the read and the
@@ -66,7 +68,7 @@ struct TargetOptions {
 std::unique_ptr<Target> make_pmemlib_target(const TargetOptions& opts = {});
 
 // lsmkv: puts/gets/deletes plus a counter RMW under one db lock, with
-// group commit on — durability is acknowledged per WAL group, recorded
+// group commit on: durability is acknowledged per WAL group, recorded
 // as all-or-nothing history groups.
 std::unique_ptr<Target> make_lsmkv_target(const TargetOptions& opts = {});
 
@@ -81,19 +83,20 @@ std::unique_ptr<Target> make_cmap_target(const TargetOptions& opts = {});
 // pmemkv stree: put/get/remove over enough keys to split leaves.
 std::unique_ptr<Target> make_stree_target(const TargetOptions& opts = {});
 
-// Sharded frontend (workload::ShardedStore over per-DIMM lsmkv shards,
-// deferred background compaction on): puts/gets/deletes under per-shard
-// locks, cross-shard batched dispatch holding the involved shard locks
-// in ascending order (each shard's group is one crash-atomic WAL burst,
-// the cross-shard batch as a whole is not), a counter RMW under its
-// owning shard's lock, plus one extra thread donating background-
-// compaction turns shard by shard. reset() pre-populates enough data to
-// leave compaction debt pending, so exploration interleaves real merges
-// with foreground traffic. Not part of all_targets(): the five-family
-// panels (and their sweep baselines) stay as they were.
+// Sharded frontend (workload::ShardedStore over two per-DIMM lsmkv
+// shards, deferred background compaction on): the lsmkv mix plus
+// cross-shard batches holding the touched shard locks in ascending
+// order (each shard's slice is one crash-atomic WAL group, the batch as
+// a whole is not), over a preload that leaves compaction debt pending,
+// plus one extra thread donating background turns under every shard
+// lock.
 std::unique_ptr<Target> make_sharded_target(const TargetOptions& opts = {});
 
-// All five, in the order above.
+// The first five, in the order above: the default panel.
 std::vector<std::unique_ptr<Target>> all_targets(const TargetOptions& opts = {});
+
+// Rows outside the default panel, selectable by name: sharded-lsmkv.
+std::vector<std::unique_ptr<Target>> extra_targets(
+    const TargetOptions& opts = {});
 
 }  // namespace xp::schedmc

@@ -14,6 +14,7 @@
 // calendar.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <deque>
@@ -88,8 +89,8 @@ class ThreadCtx {
   unsigned socket() const { return socket_; }
   unsigned mlp() const { return mlp_; }
   // Temporarily rewidth the MLP window (a sequential combined burst runs
-  // at streaming parallelism even in a latency-bound thread; callers
-  // restore the previous width afterwards). A shrink leaves outstanding
+  // at streaming parallelism even in a latency-bound thread; MlpScope
+  // restores the previous width afterwards). A shrink leaves outstanding
   // completions in flight; begin_access retires them one per issue.
   void set_mlp(unsigned m) { mlp_ = m ? m : 1; }
   Rng& rng() { return rng_; }
@@ -162,6 +163,23 @@ class ThreadCtx {
   unsigned write_stream_ = kOwnStream;
   SchedHook* sched_hook_ = nullptr;
   std::deque<Time> inflight_;
+};
+
+// Widens the thread's MLP window to at least `mlp` for one sequential
+// burst and restores the previous width when the scope ends, also when
+// the burst throws (a poisoned line's hw::MediaError).
+class MlpScope {
+ public:
+  MlpScope(ThreadCtx& ctx, unsigned mlp) : ctx_(ctx), saved_(ctx.mlp()) {
+    ctx_.set_mlp(std::max(saved_, mlp));
+  }
+  ~MlpScope() { ctx_.set_mlp(saved_); }
+  MlpScope(const MlpScope&) = delete;
+  MlpScope& operator=(const MlpScope&) = delete;
+
+ private:
+  ThreadCtx& ctx_;
+  unsigned saved_;
 };
 
 // A mutual-exclusion point visible to the schedule explorer: the lock a

@@ -8,6 +8,9 @@ namespace xp::workload {
 
 namespace {
 
+// Simulated time an idle background thread waits before polling again.
+constexpr sim::Time kBackgroundPoll = sim::us(2);
+
 // Host-side read-validation oracle (EngineOptions::validate_reads): the
 // set of value hashes ever issued for each key id. A read hit outside
 // the set is a silent corruption. Preloaded version-0 values are
@@ -37,7 +40,6 @@ struct PerThread {
   std::uint64_t remaining = 0;
   std::uint64_t seq = 0;  // ops issued by this thread
   std::uint64_t checksum = 0;
-  std::vector<BatchOp> batch;
   sim::Histogram hist;
 };
 
@@ -132,29 +134,20 @@ Result run(StoreIface& store, const Spec& spec, const EngineOptions& opts) {
         return r;
       };
 
+      // Put shared by kUpdate, kInsert and the rmw tail. Only acknowledged
+      // values are plausible: a kUnavailable put was applied to no copy,
+      // so a later read matching it IS a corruption and must not pass
+      // validation.
+      auto put = [&](std::uint64_t id) {
+        const std::string value = make_value(id, pt.seq + 1, spec.value_len);
+        const OpResult r = store.try_put(ctx, key_name(id), value);
+        absorb(r);
+        if (opts.validate_reads && r.status != OpStatus::kUnavailable)
+          oracle.record(id, value);
+      };
+
       auto write = [&](std::uint64_t id, bool is_insert) {
-        const std::string key = key_name(id);
-        std::string value = make_value(id, pt.seq + 1, spec.value_len);
-        if (opts.dispatch_batch > 0) {
-          // Batched writes are recorded optimistically at enqueue: a
-          // kUnavailable batch is partial per shard group, so holding
-          // these hashes back would flag genuinely-applied values as
-          // corrupt.
-          if (opts.validate_reads) oracle.record(id, value);
-          pt.batch.push_back({key, std::move(value), false});
-          if (pt.batch.size() >= opts.dispatch_batch) {
-            absorb(store.try_apply_batch(ctx, pt.batch));
-            pt.batch.clear();
-          }
-        } else {
-          const OpResult r = store.try_put(ctx, key, value);
-          absorb(r);
-          // Only acknowledged values are plausible: a kUnavailable put
-          // was applied to no copy, so a later read matching it IS a
-          // corruption and must not pass validation.
-          if (opts.validate_reads && r.status != OpStatus::kUnavailable)
-            oracle.record(id, value);
-        }
+        put(id);
         if (is_insert) ++res.inserts; else ++res.updates;
         h = mix64(h ^ id);
       };
@@ -195,11 +188,7 @@ Result run(StoreIface& store, const Spec& spec, const EngineOptions& opts) {
         case OpKind::kRmw: {
           const std::uint64_t id = key_id(pt);
           point_read(id);
-          const std::string nv = make_value(id, pt.seq + 1, spec.value_len);
-          const OpResult r = store.try_put(ctx, key_name(id), nv);
-          absorb(r);
-          if (opts.validate_reads && r.status != OpStatus::kUnavailable)
-            oracle.record(id, nv);
+          put(id);
           ++res.rmws;
           break;
         }
@@ -210,10 +199,6 @@ Result run(StoreIface& store, const Spec& spec, const EngineOptions& opts) {
       pt.hist.record(ctx.now() - t0);
       pt.checksum ^= h;
       if (--pt.remaining == 0) {
-        if (!pt.batch.empty()) {
-          absorb(store.try_apply_batch(ctx, pt.batch));
-          pt.batch.clear();
-        }
         // The last worker out drains any cross-thread group buffer so
         // every acknowledged op is durable when run() returns.
         if (++done_workers == T) store.flush_pending(ctx);
@@ -234,7 +219,7 @@ Result run(StoreIface& store, const Spec& spec, const EngineOptions& opts) {
       if (store.background_turn(ctx))
         ++res.background_turns;
       else
-        ctx.advance_by(opts.background_poll);  // idle poll
+        ctx.advance_by(kBackgroundPoll);
       return true;
     });
   }

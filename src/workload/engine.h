@@ -22,13 +22,6 @@ struct EngineOptions {
   // Donate one extra simulated thread that polls background_turn()
   // (deferred lsmkv compaction) while the workers run.
   bool background_thread = false;
-  sim::Time background_poll = sim::us(2);
-  // > 0: buffer updates/inserts per thread and dispatch them in groups
-  // of this size via apply_batch (the sharded frontend's batched
-  // cross-shard dispatch). Reads do not see a thread's still-buffered
-  // writes; the engine's checksum is over the observed results either
-  // way, so determinism is unaffected.
-  std::size_t dispatch_batch = 0;
   // Check every read hit against the set of values ever issued for that
   // key (host-side DRAM oracle, no simulated cost): a hit outside the
   // set is a silent corruption — the one outcome the typed error

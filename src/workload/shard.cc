@@ -5,6 +5,16 @@
 
 namespace xp::workload {
 
+// Bounded retry for kUnavailable outcomes: deterministic simulated
+// backoff doubling from kRetryBackoff, capped by kMaxRetries and by the
+// per-op deadline budget.
+constexpr unsigned kMaxRetries = 3;
+constexpr sim::Time kRetryBackoff = sim::us(5);
+constexpr sim::Time kOpDeadline = sim::us(200);
+// Online-rebuild chunking per donated background turn.
+constexpr unsigned kHealLinesPerTurn = 8;
+constexpr unsigned kResilverKeysPerTurn = 4;
+
 const char* shard_health_name(ShardHealth h) {
   switch (h) {
     case ShardHealth::kHealthy: return "healthy";
@@ -25,6 +35,13 @@ std::vector<hw::PmemNamespace*> ShardedStore::make_namespaces(
     out.push_back(
         &platform.optane_ni(bytes_per_shard, socket, i % channels));
   return out;
+}
+
+std::vector<hw::PmemNamespace*> row_namespaces(hw::Platform& platform,
+                                               unsigned shards,
+                                               std::uint64_t bytes) {
+  if (shards == 1) return {&platform.optane(bytes)};
+  return ShardedStore::make_namespaces(platform, shards, bytes);
 }
 
 ShardedStore::ShardedStore(std::span<hw::PmemNamespace* const> shard_ns,
@@ -151,15 +168,13 @@ int ShardedStore::live_source(unsigned logical, unsigned except) const {
 template <typename Fn>
 OpResult ShardedStore::with_retries(sim::ThreadCtx& ctx, Fn&& once) {
   const sim::Time start = ctx.now();
-  sim::Time backoff = opts_.retry_backoff;
+  sim::Time backoff = kRetryBackoff;
   for (unsigned attempt = 0;; ++attempt) {
     OpResult r = once();
     r.retries = attempt;
     if (r.status != OpStatus::kUnavailable) return r;
-    const bool budget_left =
-        attempt < opts_.max_retries &&
-        (opts_.op_deadline == 0 ||
-         ctx.now() - start + backoff <= opts_.op_deadline);
+    const bool budget_left = attempt < kMaxRetries &&
+                             ctx.now() - start + backoff <= kOpDeadline;
     if (!budget_left) {
       ++stats_.unavailable;
       emit(ctx.now(), hw::ResilienceEventKind::kUnavailable,
@@ -462,6 +477,12 @@ void ShardedStore::flush_pending(sim::ThreadCtx& ctx) {
   }
 }
 
+std::size_t ShardedStore::pending_records() const {
+  std::size_t n = 0;
+  for (const auto& s : shards_) n += s->pending_records();
+  return n;
+}
+
 std::vector<std::string> ShardedStore::hosted_keys(sim::ThreadCtx& ctx,
                                                    unsigned store) {
   std::set<std::string> keys;
@@ -536,7 +557,7 @@ bool ShardedStore::rebuild_step(sim::ThreadCtx& ctx) {
         const std::uint8_t zeros[hw::Platform::kXpLineBytes] = {};
         LaneGuard lane(ctx, opts_.writer_lanes, p);
         for (unsigned n = 0; job.cursor < job.bad_lines.size() &&
-                             n < opts_.heal_lines_per_turn;
+                             n < kHealLinesPerTurn;
              ++n, ++job.cursor) {
           ns_[p]->ntstore_persist(ctx, job.bad_lines[job.cursor],
                                   {zeros, sizeof zeros});
@@ -559,7 +580,7 @@ bool ShardedStore::rebuild_step(sim::ThreadCtx& ctx) {
         for (const std::string& k : pending_[p]) job.queue.push_back(k);
         pending_[p].clear();
         for (unsigned n = 0;
-             !job.queue.empty() && n < opts_.resilver_keys_per_turn; ++n) {
+             !job.queue.empty() && n < kResilverKeysPerTurn; ++n) {
           const std::string key = std::move(job.queue.front());
           job.queue.pop_front();
           const unsigned logical = shard_of(key, shards());
@@ -604,7 +625,7 @@ bool ShardedStore::rebuild_step(sim::ThreadCtx& ctx) {
           return true;
         }
         for (unsigned n = 0; job.cursor < job.vqueue.size() &&
-                             n < opts_.heal_lines_per_turn;
+                             n < kHealLinesPerTurn;
              ++n) {
           const std::string& key = job.vqueue[job.cursor];
           const int src = live_source(shard_of(key, shards()), p);

@@ -82,15 +82,6 @@ struct ShardOptions {
   // from service; a write-path media error quarantines immediately (the
   // copy may be half-applied).
   unsigned quarantine_after = 2;
-  // Bounded retry for kUnavailable outcomes: deterministic simulated
-  // backoff doubling from retry_backoff, capped by max_retries and by
-  // the per-op deadline budget (0 = no deadline).
-  unsigned max_retries = 3;
-  sim::Time retry_backoff = sim::us(5);
-  sim::Time op_deadline = sim::us(200);
-  // Online-rebuild chunking per donated background turn.
-  unsigned heal_lines_per_turn = 8;
-  unsigned resilver_keys_per_turn = 4;
 };
 
 enum class ShardHealth : unsigned char {
@@ -165,6 +156,10 @@ class ShardedStore final : public StoreIface {
   void apply_batch(sim::ThreadCtx& ctx,
                    std::span<const BatchOp> ops) override;
   void flush_pending(sim::ThreadCtx& ctx) override;
+  // Sum over the stores: it reads 0 only once every shard's window has
+  // committed, so it never reports a write durable early. It cannot say
+  // which shard's window is still open.
+  std::size_t pending_records() const override;
   // One rebuild step if any shard is under repair, else round-robin one
   // deferred-compaction turn over the serving shards.
   bool background_turn(sim::ThreadCtx& ctx) override;
@@ -318,5 +313,11 @@ class ShardedStore final : public StoreIface {
   std::deque<RebuildJob> jobs_;
   ResilienceStats stats_;
 };
+
+// The namespaces of a harness store row: one interleaved namespace for a
+// single store, ShardedStore::make_namespaces for more than one shard.
+std::vector<hw::PmemNamespace*> row_namespaces(hw::Platform& platform,
+                                               unsigned shards,
+                                               std::uint64_t bytes);
 
 }  // namespace xp::workload

@@ -45,16 +45,12 @@ struct StoreTuning {
   // §5.1/§5.2 write combining: lsmkv WAL group commit / novafs batched
   // log appends. No-op for cmap/stree (their writes are line-local).
   bool write_combine = false;
-  std::size_t wal_group_size = 8;
   // §5.1 read path: DRAM residency + line-granular read combining + a
   // DRAM read cache of `read_cache_lines` 256 B lines.
   bool read_path = false;
   std::size_t read_cache_lines = 2048;
   // Deferred compaction with a write-stall admission gate (lsmkv only).
   bool background_compaction = false;
-  // §5.3 writer-lane cap (cmap only; the sharded frontend handles lane
-  // identity for the other families).
-  unsigned writers_per_dimm = 0;
   // lsmkv memtable flush threshold: small enough that mixed workloads
   // actually exercise flush + compaction, unlike the 4 MiB default.
   std::size_t memtable_bytes = 64 << 10;
@@ -121,6 +117,15 @@ class StoreIface {
 
   // Durability barrier for buffered group commits (no-op elsewhere).
   virtual void flush_pending(sim::ThreadCtx& ctx) { (void)ctx; }
+
+  // Records a write call has returned for but not yet made durable: the
+  // open lsmkv WAL group-commit window (Db::pending_records). 0 where
+  // every write is durable when it returns. A harness may treat every
+  // returned write as durable once this reads 0. A ShardedStore sums its
+  // shards, so while it reads nonzero one shard may already have
+  // committed: the count cannot delimit per-shard commit windows.
+  // Read-only: costs no simulated time and changes no state.
+  virtual std::size_t pending_records() const { return 0; }
 
   // Donate one background turn (deferred lsmkv compaction). Returns
   // true if the turn did work.

@@ -141,6 +141,9 @@ class LsmkvStore final : public StoreIface {
     db_.put_batch(ctx, recs);
   }
   void flush_pending(sim::ThreadCtx& ctx) override { db_.commit_pending(ctx); }
+  std::size_t pending_records() const override {
+    return db_.pending_records();
+  }
   bool background_turn(sim::ThreadCtx& ctx) override {
     return db_.background_work(ctx);
   }
@@ -325,7 +328,6 @@ std::unique_ptr<StoreIface> make_store(StoreKind kind, hw::PmemNamespace& ns,
       o.wal_capacity = 4 << 20;
       o.memtable_bytes = t.memtable_bytes;
       o.wal_group_commit = t.write_combine;
-      o.wal_group_size = t.wal_group_size;
       o.sst_residency = t.read_path;
       o.read_combine = t.read_path;
       o.read_cache_lines = cache_lines;
@@ -334,7 +336,6 @@ std::unique_ptr<StoreIface> make_store(StoreKind kind, hw::PmemNamespace& ns,
     }
     case StoreKind::kCmap: {
       pmemkv::CMapOptions o;
-      o.max_writers_per_dimm = t.writers_per_dimm;
       o.read_combine = t.read_path;
       o.read_cache_lines = cache_lines;
       return make_cmap_store(ns, o);

@@ -170,6 +170,21 @@ TEST(LineReader, PoisonedLineStillFaultsAndStagingInvalidates) {
   r.fetch(t, ns, 1024, 64);
 }
 
+// A burst load raises the thread to streaming MLP; a poisoned line must
+// not leave it there once the fetch has thrown.
+TEST(LineReader, FailedBurstRestoresThreadMlp) {
+  Platform platform;
+  auto& ns = platform.optane(1 << 20);
+  ThreadCtx t({.id = 0, .socket = 0, .mlp = 1, .seed = 1});
+  poke_pattern(ns, 0, 4096, 3);
+  hw::FaultInjector injector(platform, /*seed=*/5);
+  injector.poison(ns, 512);
+
+  pmem::LineReader r;
+  EXPECT_THROW(r.fetch(t, ns, 300, 400), hw::MediaError);
+  EXPECT_EQ(t.mlp(), 1u);
+}
+
 // ------------------------------------------------------------- ReadCache --
 
 TEST(ReadCache, HitsServeFromDramWithNoDeviceTraffic) {

@@ -245,6 +245,79 @@ TEST(ScheduleExplore, ShardedLinearizable) {
   expect_family_clean(*make_sharded_target(), "sharded-lsmkv");
 }
 
+// PCT scheduling that parks every batch: whenever a thread with a batch
+// in flight (two or more of its ops unanswered) yields, another runnable
+// thread runs. At every decision it audits the history: a write is
+// neither responded nor must-include before it reaches its write phase.
+// It also counts the decisions at which another thread has invoked an
+// op after an in-flight batch began.
+class AckAudit final : public SchedulePolicy {
+ public:
+  AckAudit(std::uint64_t seed, unsigned nthreads, const History& h)
+      : pct_(seed, nthreads, 3, 256), h_(h) {}
+
+  unsigned pick(unsigned current, const std::vector<unsigned>& runnable,
+                std::uint64_t decision, sim::SchedPoint point) override {
+    const std::map<unsigned, std::vector<std::size_t>> open = audit();
+    const auto it = open.find(current);
+    if (it != open.end() && it->second.size() >= 2)
+      for (const unsigned t : runnable)
+        if (t != current) return t;
+    return pct_.pick(current, runnable, decision, point);
+  }
+
+  std::size_t overlaps = 0;
+  std::string early;  // first op acknowledged before its write phase
+
+ private:
+  // Thread -> ids of its unanswered ops.
+  std::map<unsigned, std::vector<std::size_t>> audit() {
+    std::map<unsigned, std::vector<std::size_t>> open;
+    for (std::size_t id = 0; id < h_.size(); ++id) {
+      const Op& op = h_.ops()[id];
+      if (op.kind != OpKind::kGet && !op.staged &&
+          (op.completed() || op.must_include) && early.empty())
+        early = "op " + std::to_string(id) + " (" + op_kind_name(op.kind) +
+                " " + op.key + ", thread " + std::to_string(op.thread) + ")";
+      if (!op.completed()) open[op.thread].push_back(id);
+    }
+    for (const auto& [t, ids] : open) {
+      if (ids.size() < 2) continue;
+      for (const auto& [u, others] : open)
+        if (u != t && others.back() > ids.back()) ++overlaps;
+    }
+    return open;
+  }
+
+  PctPolicy pct_;
+  const History& h_;
+};
+
+// A batch that yields inside try_apply_batch (a fence, a WAL handoff)
+// lets other threads invoke ops meanwhile. Those ops belong to their own
+// threads: the batch must acknowledge only its own records, or a
+// concurrent counter RMW blocked on the batch's shard lock would read
+// as responded and must-include before it has even read the counter.
+TEST(ScheduleExplore, BatchAcknowledgesOnlyItsOwnRecords) {
+  auto target = make_sharded_target();
+  std::size_t overlaps = 0;
+  for (std::uint64_t seed = 0; seed < 48; ++seed) {
+    target->reset();
+    const std::vector<ThreadSpec> specs = target->specs();
+    AckAudit audit(seed, static_cast<unsigned>(specs.size()),
+                   target->history());
+    Interleaver il;
+    const auto rr = il.run(specs, audit, {.platform = &target->platform()});
+    ASSERT_TRUE(rr.error.empty()) << rr.error;
+    ASSERT_TRUE(audit.early.empty())
+        << "seed " << seed << ": " << audit.early
+        << " acknowledged before its write phase\n"
+        << format_history(target->history().ops());
+    overlaps += audit.overlaps;
+  }
+  EXPECT_GT(overlaps, 0u) << "no schedule parked a batch under a foreign op";
+}
+
 // Exploration is deterministic end to end: identical options give
 // identical schedule sets and identical checker work.
 TEST(ScheduleExplore, DeterministicAcrossRuns) {

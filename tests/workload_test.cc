@@ -503,6 +503,67 @@ TEST(ShardedStore, ReopenRecoversAllShards) {
   EXPECT_TRUE(again.check(t).ok());
 }
 
+// pending_records(): writes that returned but still wait on a group
+// commit. A harness acknowledges durability once it reads 0.
+TEST(StoreIface, PendingRecordsCountsTheOpenGroupCommitWindow) {
+  hw::Platform platform;
+  auto& ns = platform.optane(32ull << 20);
+  kv::DbOptions o;
+  o.wal_capacity = 4 << 20;
+  o.wal_group_commit = true;  // groups of 8
+  auto store = workload::make_lsmkv_store(ns, o);
+  sim::ThreadCtx t = make_thread();
+  store->create(t);
+  EXPECT_EQ(store->pending_records(), 0u);
+  for (int i = 0; i < 3; ++i)
+    store->put(t, workload::key_name(i), workload::make_value(i, 0, 40));
+  store->del(t, workload::key_name(1));
+  EXPECT_EQ(store->pending_records(), 4u);
+  store->flush_pending(t);
+  EXPECT_EQ(store->pending_records(), 0u);
+  // The write that fills the group commits it.
+  for (int i = 0; i < 8; ++i)
+    store->put(t, workload::key_name(i), workload::make_value(i, 1, 40));
+  EXPECT_EQ(store->pending_records(), 0u);
+}
+
+TEST(StoreIface, ShardedPendingRecordsSumsItsShards) {
+  hw::Platform platform;
+  const auto ns =
+      workload::ShardedStore::make_namespaces(platform, 2, 32ull << 20);
+  workload::ShardOptions so;
+  so.kind = workload::StoreKind::kLsmkv;
+  so.tuning.write_combine = true;
+  workload::ShardedStore store(ns, so);
+  sim::ThreadCtx t = make_thread();
+  store.create(t);
+  for (int i = 0; i < 6; ++i)
+    store.put(t, workload::key_name(i), workload::make_value(i, 0, 40));
+  const std::size_t a = store.shard(0).pending_records();
+  const std::size_t b = store.shard(1).pending_records();
+  EXPECT_GT(a, 0u);
+  EXPECT_GT(b, 0u);
+  EXPECT_EQ(store.pending_records(), a + b);
+  EXPECT_EQ(a + b, 6u);
+  store.flush_pending(t);
+  EXPECT_EQ(store.pending_records(), 0u);
+}
+
+TEST(StoreIface, DurableAtReturnStoresReportNothingPending) {
+  for (const auto kind : {workload::StoreKind::kCmap,
+                          workload::StoreKind::kStree}) {
+    hw::Platform platform;
+    auto& ns = platform.optane(32ull << 20);
+    auto store = workload::make_store(kind, ns);
+    sim::ThreadCtx t = make_thread();
+    store->create(t);
+    for (int i = 0; i < 5; ++i)
+      store->put(t, workload::key_name(i), workload::make_value(i, 0, 16));
+    store->del(t, workload::key_name(2));
+    EXPECT_EQ(store->pending_records(), 0u) << store->name();
+  }
+}
+
 // ---------------------------------------------------------------------
 // Self-healing resilience layer.
 
