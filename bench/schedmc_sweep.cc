@@ -12,6 +12,10 @@
 //                      [--store NAME] [--fault]
 // --store also reaches the rows outside the default panel
 // (schedmc::extra_targets: sharded-lsmkv).
+// --fault seeds TestFault::kElideRmwLock and inverts the exit contract:
+// every row it seeds must report a violation. Rows without an increment
+// seed nothing and are skipped; naming one with --store is a usage error
+// (exit 2).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -63,11 +67,27 @@ int main(int argc, char** argv) {
   if (!only.empty())
     for (auto& t : schedmc::extra_targets(topts))
       targets.push_back(std::move(t));
+  const bool fault = topts.fault != schedmc::TestFault::kNone;
 
   bool failed = false;
+  unsigned ran = 0;
+  unsigned caught = 0;
   for (auto& target : targets) {
     if (!only.empty() && only != target->name()) continue;
+    if (fault && !target->fault_seeded()) {
+      if (!only.empty()) {
+        std::fprintf(stderr,
+                     "schedmc_sweep: no seeded fault for this row: %s\n",
+                     only.c_str());
+        return 2;
+      }
+      benchutil::note("%s: no seeded fault for this row, skipped",
+                      target->name());
+      continue;
+    }
     const schedmc::Result r = schedmc::explore(*target, opts);
+    ++ran;
+    caught += r.ok() ? 0 : 1;
     benchutil::row(
         "%-10s %10llu %9llu %10llu %10llu %12llu %10.0f %6zu",
         target->name(), static_cast<unsigned long long>(r.schedules_run),
@@ -82,11 +102,12 @@ int main(int argc, char** argv) {
       std::printf("%s\n", schedmc::summarize(r).c_str());
     }
   }
-  if (topts.fault != schedmc::TestFault::kNone) {
+  if (fault) {
     // --fault inverts the exit contract: the seeded regression must be
-    // caught.
-    benchutil::note("seeded fault %s", failed ? "caught" : "MISSED");
-    return failed ? 0 : 1;
+    // caught on every row it seeds.
+    const bool missed = ran == 0 || caught != ran;
+    benchutil::note("seeded fault %s", missed ? "MISSED" : "caught");
+    return missed ? 1 : 0;
   }
   return failed ? 1 : 0;
 }

@@ -644,6 +644,31 @@ std::unique_ptr<Target> make_stree_target() {
   });
 }
 
+// Deferred compaction with bounded turns: a 256 B memtable (128 B of
+// merge output per turn) and a 2-run trigger put several merges, each
+// spread over turns, under the run; a donated turn follows every op, so
+// crash points land between and inside the turns of a partial merge.
+std::unique_ptr<Target> make_lsmkv_merge_target() {
+  kv::DbOptions o;
+  o.wal_capacity = 1 << 20;
+  o.memtable_bytes = 256;
+  o.l0_compaction_trigger = 2;
+  o.background_compaction = true;
+  return std::make_unique<KvTarget>(KvRow{
+      .name = "lsmkv-merge",
+      .ns_bytes = 32 << 20,
+      .make = [o](std::span<hw::PmemNamespace* const> ns) {
+        return workload::make_lsmkv_store(*ns[0], o);
+      },
+      .seed = 23,
+      .keys = 24,
+      .ops = 96,
+      .value = filler_value<16>,
+      .bg_every = 1,
+      .bg_turns = 1,
+  });
+}
+
 std::unique_ptr<Target> make_sharded_target() {
   workload::ShardOptions so;
   so.kind = workload::StoreKind::kLsmkv;
@@ -714,6 +739,7 @@ std::vector<std::unique_ptr<Target>> all_targets(bool checksums) {
 std::vector<std::unique_ptr<Target>> extra_targets(bool checksums) {
   std::vector<std::unique_ptr<Target>> targets;
   targets.push_back(make_lsmkv_target(kv::WalMode::kPosix, checksums));
+  targets.push_back(make_lsmkv_merge_target());
   targets.push_back(make_sharded_target());
   targets.push_back(make_resilient_target());
   return targets;

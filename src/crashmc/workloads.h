@@ -68,6 +68,9 @@ std::unique_ptr<Target> make_stree_target();
 // crash-atomic unit is one shard's slice of a dispatch (one WAL group
 // burst), so each shard's recovered state is checked on its own.
 std::unique_ptr<Target> make_sharded_target();
+// lsmkv with deferred compaction whose merges each span several bounded
+// background turns: crash points inside a partial merge.
+std::unique_ptr<Target> make_lsmkv_merge_target();
 // Self-healing replicated frontend (ShardedStore, 2 shards, replicas=2,
 // lsmkv) under combined at-rest poison and crash points: the workload
 // quarantines store 0 mid-run and crash points land inside the online
@@ -83,8 +86,8 @@ std::unique_ptr<Target> make_resilient_target();
 std::vector<std::unique_ptr<Target>> all_targets(bool checksums = false);
 
 // Rows outside the standard panel, reachable by name (crashmc_sweep
-// --store): lsmkv with the POSIX WAL, the sharded and the resilient
-// frontends. The panel's counts and the fault campaign's loss semantics
+// --store): lsmkv with the POSIX WAL, lsmkv with multi-turn background
+// merges, the sharded and the resilient frontends. The panel's counts and the fault campaign's loss semantics
 // stay as they were.
 std::vector<std::unique_ptr<Target>> extra_targets(bool checksums = false);
 

@@ -18,14 +18,18 @@ class BloomBuilder {
   static constexpr unsigned kBitsPerKey = 10;
   static constexpr unsigned kProbes = 7;
 
-  explicit BloomBuilder(std::size_t expected_keys) {
-    std::size_t bits = expected_keys * kBitsPerKey;
-    bits = std::max<std::size_t>(bits, 64);
-    bits_.assign((bits + 7) / 8, 0);
+  explicit BloomBuilder(std::size_t expected_keys)
+      : bits_(bytes_for(expected_keys), 0) {}
+
+  // Serialized filter size for `keys` keys.
+  static std::size_t bytes_for(std::size_t keys) {
+    return (std::max<std::size_t>(keys * kBitsPerKey, 64) + 7) / 8;
   }
 
-  void add(std::string_view key) {
-    const std::uint64_t h = hash(key);
+  void add(std::string_view key) { add_hash(hash(key)); }
+  // add() for a key hashed earlier (a streamed table knows its key count,
+  // and so its filter size, only after the last key).
+  void add_hash(std::uint64_t h) {
     std::uint32_t a = static_cast<std::uint32_t>(h);
     const std::uint32_t b = static_cast<std::uint32_t>(h >> 32) | 1;
     for (unsigned i = 0; i < kProbes; ++i) {
@@ -52,13 +56,14 @@ class BloomBuilder {
     return true;
   }
 
- private:
+  // The key hash every probe sequence starts from.
   static std::uint64_t hash(std::string_view s) {
     std::uint64_t h = 0xcbf29ce484222325ULL;
     for (char c : s) h = (h ^ static_cast<std::uint8_t>(c)) * 0x100000001b3ULL;
     return h;
   }
 
+ private:
   std::vector<std::uint8_t> bits_;
 };
 

@@ -26,7 +26,11 @@ struct DbOptions {
   MemtableMode memtable = MemtableMode::kVolatile;
   bool sync_every_op = true;            // db_bench --sync
   std::size_t memtable_bytes = 4 << 20; // flush threshold
-  unsigned l0_compaction_trigger = 4;   // L0 tables before compaction
+  // The fewest L0 runs a merge starts with. Past it, a merge is due once
+  // L0 holds a tenth of L1's bytes (Db::kLevelFanout), or at the latest
+  // one run below the L0 limit (l0_stall_trigger with background
+  // compaction, else the manifest's capacity).
+  unsigned l0_compaction_trigger = 4;
   std::uint64_t wal_capacity = 64 << 20;
 
   // Checksum every WAL record (CRC32C over tag+vlen+key+value, stored in
@@ -64,15 +68,18 @@ struct DbOptions {
 
   // ---- Background compaction (§5 under mixed traffic), off by default
   // ---- so the inline-compaction put path and timing are unchanged ------
-  // When set, reaching l0_compaction_trigger only *schedules* the merge;
-  // it runs when some thread donates a turn via Db::background_work()
-  // (the workload engine runs one such thread per store). Writes keep
-  // flowing against the growing L0 while the debt is pending; if L0
-  // reaches l0_stall_trigger before a background turn arrives, the next
-  // write pays the merge inline — the classic write-stall admission gate,
-  // which also keeps the manifest's fixed L0 array from overflowing.
+  // When set, a due merge is only *scheduled*; it advances when some
+  // thread donates turns via Db::background_work(), at most half a
+  // memtable of output per turn (the workload engine runs one donor
+  // thread per frontend). Writes keep flowing against the growing L0;
+  // the merge is due one run before l0_stall_trigger at the latest, so a
+  // turn rather than a writer starts it. A write that finds L0 at
+  // l0_stall_trigger runs the merge in progress (or a new one) to its
+  // commit inline — the classic write-stall admission gate, which also
+  // keeps the manifest's fixed L0 array from overflowing. Inline
+  // compaction ignores the stall trigger.
   bool background_compaction = false;
-  unsigned l0_stall_trigger = 12;  // must stay < Db::kMaxL0
+  unsigned l0_stall_trigger = 12;  // clamped below Db::kMaxL0
 
   // CPU-side costs (simulated time) for work that doesn't touch the
   // memory system model: DRAM-structure operations and syscalls.
@@ -88,8 +95,9 @@ struct DbStats {
   std::uint64_t deletes = 0;
   std::uint64_t memtable_flushes = 0;
   std::uint64_t compactions = 0;
-  // Of `compactions`: how many ran on a donated background turn, and how
-  // many times a writer hit the stall gate and paid the merge inline.
+  // Of `compactions` (committed merges): how many committed on a donated
+  // background turn, and how many times a writer hit the stall gate and
+  // finished a merge inline.
   std::uint64_t background_compactions = 0;
   std::uint64_t write_stalls = 0;
   std::uint64_t wal_bytes = 0;

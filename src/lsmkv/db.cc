@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <iterator>
+#include <limits>
 
 #include "pmemlib/pmem_ops.h"
 
@@ -64,6 +65,30 @@ class RunMerge {
 };
 
 }  // namespace
+
+// A merge in progress: a newest-wins stream over a snapshot of its inputs
+// (the oldest `in.n_l0` L0 runs and all of L1, as the manifest listed them
+// when it started) into a streamed output table. Flushes during the merge
+// only append to L0, so the snapshot stays the manifest's prefix. Pinned:
+// `merge` refers into `runs`.
+struct Db::Merge {
+  Merge() = default;
+  Merge(const Merge&) = delete;
+  Merge& operator=(const Merge&) = delete;
+
+  Manifest in;
+  std::vector<SsTable::Cursor> runs;
+  std::optional<RunMerge> merge;  // over `runs`
+  SsTable::Builder out;
+  SsTable::Residency res;  // out's, under sst_residency
+  std::uint64_t bound = 0;  // out's largest possible size
+  TableRef extent;          // allocated before out's first write
+};
+
+Db::Db(hw::PmemNamespace& ns, DbOptions opts)
+    : opts_(opts), pool_(ns), memtable_(opts_) {}
+
+Db::~Db() = default;
 
 Db::Manifest Db::load_manifest(sim::ThreadCtx& ctx) {
   // Under sst_residency the manifest is mirrored in DRAM: every
@@ -178,6 +203,7 @@ SsTable::ReadCtx Db::read_ctx(std::uint64_t table_off) {
 
 bool Db::open(sim::ThreadCtx& ctx) {
   recovery_ = RecoveryInfo{};
+  merge_.reset();
   if (!pool_.open(ctx)) return false;
   root_off_ = pool_.root(ctx);
   Manifest m{};
@@ -207,10 +233,18 @@ bool Db::open(sim::ThreadCtx& ctx) {
   // One-time residency load for the recovered table set (a flush during
   // WAL replay keeps it current through store_manifest/flush).
   init_read_path(ctx, m, /*load_tables=*/true);
+  if (m.merging.size != 0 && !pool_.recovery().heap_sealed) {
+    // The extent a cut merge was writing into, or the spare kept for the
+    // next merge: no run lives in it, and no merge is in progress now.
+    pmem::Tx tx(pool_, ctx);
+    pool_.tx_free(tx, m.merging.off, m.merging.size);
+    m.merging = {};
+    store_manifest(ctx, tx, m);
+    tx.commit();
+  }
   // The deferred-compaction flag is volatile; re-derive the debt from the
   // recovered manifest so a crash between schedule and merge is harmless.
-  compaction_pending_ =
-      opts_.background_compaction && m.n_l0 >= opts_.l0_compaction_trigger;
+  compaction_pending_ = opts_.background_compaction && compaction_due(m);
 
   memtable_.clear();
   pending_.clear();
@@ -446,6 +480,9 @@ std::string Db::check_impl(sim::ThreadCtx& ctx) {
   if (static_cast<WalMode>(m.wal_mode) != WalMode::kNone &&
       (m.wal_base < heap_lo || m.wal_base + m.wal_capacity > heap_hi))
     return "manifest: WAL region outside allocated heap";
+  if (m.merging.size != 0 &&
+      (m.merging.off < heap_lo || m.merging.off + m.merging.size > heap_hi))
+    return "manifest: merge output outside allocated heap";
 
   auto check_table = [&](const char* level, std::uint32_t i,
                          const TableRef& t) -> std::string {
@@ -478,10 +515,12 @@ std::string Db::check_impl(sim::ThreadCtx& ctx) {
 }
 
 void Db::repair(sim::ThreadCtx& ctx) {
+  merge_.reset();  // its inputs may be quarantined below
   Manifest m = load_manifest(ctx);
   Manifest out = m;
   out.n_l0 = 0;
   out.n_l1 = 0;
+  out.merging = {};
   std::vector<TableRef> bad;
   auto sift = [&](const char* level, std::uint32_t i, const TableRef& t,
                   TableRef* keep, std::uint32_t* nkeep) {
@@ -497,6 +536,9 @@ void Db::repair(sim::ThreadCtx& ctx) {
     sift("l0", i, m.l0[i], out.l0, &out.n_l0);
   for (std::uint32_t i = 0; i < m.n_l1; ++i)
     sift("l1", i, m.l1[i], out.l1, &out.n_l1);
+  // An abandoned merge's output goes with them, unreported: it held no
+  // committed data.
+  if (m.merging.size != 0) bad.push_back(m.merging);
 
   if (!bad.empty()) {
     // Drop the quarantined refs first — only then is it safe to scrub,
@@ -523,50 +565,59 @@ void Db::maybe_flush(sim::ThreadCtx& ctx) {
                                   : memtable_.bytes();
   if (bytes >= opts_.memtable_bytes) flush(ctx);
   // Write-stall admission gate: a writer that finds the deferred-
-  // compaction debt at the stall trigger pays the merge inline rather
+  // compaction debt at the stall trigger finishes the merge inline rather
   // than letting L0 grow toward the manifest's fixed capacity.
-  if (compaction_pending_) {
-    const Manifest m = load_manifest(ctx);
-    // Clamp to the manifest's capacity so a misconfigured trigger can
-    // never let L0 overflow the fixed array.
-    const unsigned stall_at =
-        std::min<unsigned>(opts_.l0_stall_trigger, kMaxL0 - 1);
-    if (m.n_l0 >= stall_at) {
-      ++stats_.write_stalls;
-      background_work(ctx);
-    }
+  if (compaction_pending_ && load_manifest(ctx).n_l0 >= l0_limit()) {
+    ++stats_.write_stalls;
+    compact(ctx);
   }
 }
 
+unsigned Db::l0_limit() const {
+  // Clamp to the manifest's capacity so a misconfigured trigger can never
+  // let L0 overflow the fixed array.
+  return opts_.background_compaction
+             ? std::min<unsigned>(opts_.l0_stall_trigger, kMaxL0 - 1)
+             : kMaxL0;
+}
+
+bool Db::compaction_due(const Manifest& m) const {
+  if (m.n_l0 < opts_.l0_compaction_trigger) return false;
+  // Due one run before the gate at the latest, so a background turn
+  // rather than a writer pays for the merge.
+  if (m.n_l0 + 1 >= l0_limit()) return true;
+  std::uint64_t l0 = 0;
+  std::uint64_t l1 = 0;
+  for (std::uint32_t i = 0; i < m.n_l0; ++i) l0 += m.l0[i].size;
+  for (std::uint32_t i = 0; i < m.n_l1; ++i) l1 += m.l1[i].size;
+  return l0 * kLevelFanout >= l1;
+}
+
 void Db::flush(sim::ThreadCtx& ctx) {
-  std::vector<SsTable::Entry> entries;
+  SsTable::Builder b;
+  auto add = [&](std::string_view k, std::string_view v, bool tomb) {
+    b.add(k, v, tomb);
+  };
   if (opts_.memtable == MemtableMode::kPersistent) {
     if (pskip_bytes_ == 0) return;
-    pskip_->for_each(ctx, [&](std::string_view k, std::string_view v,
-                              bool tomb) {
-      entries.push_back({std::string(k), std::string(v), tomb});
-    });
+    pskip_->for_each(ctx, add);
   } else {
     if (memtable_.empty()) return;
-    memtable_.for_each([&](std::string_view k, std::string_view v,
-                           bool tomb) {
-      entries.push_back({std::string(k), std::string(v), tomb});
-    });
+    memtable_.for_each(add);
   }
   ++stats_.memtable_flushes;
+  SsTable::Residency res;
+  b.seal(opts_.sst_residency ? &res : nullptr);
 
   Manifest m = load_manifest(ctx);
   assert(m.n_l0 < kMaxL0);
   reader_.discard();
   {
     pmem::Tx tx(pool_, ctx);
-    const std::uint64_t size = SsTable::encoded_size(entries);
+    const std::uint64_t size = b.size();
     const std::uint64_t off = pool_.tx_alloc(tx, size);
-    SsTable::Residency res;
-    SsTable::build(ctx, pool_.ns(), off, entries, &sst_scratch_,
-                   opts_.sst_residency ? &res : nullptr);
+    stats_.sst_bytes_written += b.write(ctx, pool_.ns(), off, size);
     if (opts_.sst_residency) residency_[off] = std::move(res);
-    stats_.sst_bytes_written += size;
 
     m.l0[m.n_l0++] = TableRef{off, size};
     if (opts_.memtable == MemtableMode::kPersistent) {
@@ -595,65 +646,131 @@ void Db::flush(sim::ThreadCtx& ctx) {
     pending_.clear();
   }
 
-  if (m.n_l0 >= opts_.l0_compaction_trigger) {
+  if (compaction_due(m)) {
     if (opts_.background_compaction)
       compaction_pending_ = true;  // deferred to background_work()
     else
-      compact(ctx, m);
+      compact(ctx);
   }
 }
 
 bool Db::background_work(sim::ThreadCtx& ctx) {
   if (!compaction_pending_) return false;
-  const Manifest m = load_manifest(ctx);
-  if (m.n_l0 == 0) {  // flushed away in the meantime
-    compaction_pending_ = false;
+  if (merge_ == nullptr && !compaction_due(load_manifest(ctx))) {
+    compaction_pending_ = false;  // e.g. repair() dropped the runs
     return false;
   }
-  ++stats_.background_compactions;
-  compact(ctx, m);
-  // Only a committed merge pays the debt: one that throws (a poisoned
-  // input run) leaves it pending for the next turn or the rebuild.
-  compaction_pending_ = false;
+  if (merge_step(ctx, turn_bytes())) ++stats_.background_compactions;
   return true;
 }
 
-void Db::compact(sim::ThreadCtx& ctx, Manifest m) {
-  ++stats_.compactions;
-  // Stream every run through one newest-wins merge. Tombstones drop out:
-  // the merge is full, so nothing older is left for them to shadow.
-  std::vector<SsTable::Cursor> cursors = open_runs(ctx, m, "");
-  std::size_t total = 0;
-  for (const SsTable::Cursor& c : cursors) total += c.count();
-  std::vector<SsTable::Entry> entries;
-  entries.reserve(total);
-  for (RunMerge merge(cursors); merge.valid(); merge.next(ctx)) {
-    const SsTable::Cursor& c = merge.top();
-    if (!c.tombstone())
-      entries.push_back({std::string(c.key()), std::string(c.value()), false});
+void Db::compact(sim::ThreadCtx& ctx) {
+  merge_step(ctx, std::numeric_limits<std::uint64_t>::max());
+}
+
+bool Db::merge_step(sim::ThreadCtx& ctx, std::uint64_t budget) {
+  try {
+    if (merge_ == nullptr) start_merge(ctx);
+    Merge& mg = *merge_;
+    // Stage about one budget of output ahead of the writes. Tombstones
+    // drop out: the merge includes the oldest run, so nothing older is
+    // left for them to shadow.
+    while (mg.merge->valid() && mg.out.staged() < budget) {
+      const SsTable::Cursor& c = mg.merge->top();
+      if (!c.tombstone()) mg.out.add(c.key(), c.value(), false);
+      mg.merge->next(ctx);
+    }
+    const bool last = !mg.merge->valid();
+    if (last && !mg.out.sealed())
+      mg.out.seal(opts_.sst_residency ? &mg.res : nullptr);
+    if (mg.out.count() > 0) {
+      if (mg.extent.size == 0) allocate_output(ctx, mg);
+      stats_.sst_bytes_written +=
+          mg.out.write(ctx, pool_.ns(), mg.extent.off, budget);
+      if (!mg.out.done()) return false;
+    } else if (!last) {
+      return false;
+    }
+    finish_merge(ctx);
+    return true;
+  } catch (const hw::MediaError&) {
+    // A poisoned input ends this attempt and the debt stays pending; the
+    // next attempt frees the extent this one recorded.
+    merge_.reset();
+    throw;
   }
+}
+
+void Db::start_merge(sim::ThreadCtx& ctx) {
+  auto mg = std::make_unique<Merge>();
+  mg->in = load_manifest(ctx);
+  mg->runs = open_runs(ctx, mg->in, "");
+  std::uint64_t n = 0;
+  std::uint64_t data = 0;
+  for (const SsTable::Cursor& c : mg->runs) {
+    n += c.count();
+    data += c.data_bytes();
+  }
+  mg->bound = SsTable::Builder::bound(n, data);
+  mg->merge.emplace(mg->runs);
+  merge_ = std::move(mg);
+}
+
+void Db::allocate_output(sim::ThreadCtx& ctx, Merge& mg) {
+  Manifest m = load_manifest(ctx);
+  if (m.merging.size < mg.bound) {
+    // The spare is too small (or absent): swap it for an extent with an
+    // eighth of headroom, so that the next merges fit in it too.
+    pmem::Tx tx(pool_, ctx);
+    if (m.merging.size != 0)
+      pool_.tx_free(tx, m.merging.off, m.merging.size);
+    const std::uint64_t size = mg.bound + mg.bound / 8;
+    m.merging = TableRef{pool_.tx_alloc(tx, size), size};
+    store_manifest(ctx, tx, m);
+    tx.commit();
+  }
+  mg.extent = m.merging;
+}
+
+void Db::finish_merge(sim::ThreadCtx& ctx) {
+  Merge& mg = *merge_;
+  const Manifest& in = mg.in;
+  const Manifest m = load_manifest(ctx);
+  assert(m.n_l0 >= in.n_l0 && m.n_l1 == in.n_l1);
+  Manifest out = m;
+  // Inputs -> output; the L0 runs flushed during the merge stay.
+  out.n_l0 = m.n_l0 - in.n_l0;
+  std::copy(m.l0 + in.n_l0, m.l0 + m.n_l0, out.l0);
+  out.n_l1 = 0;
+  // The largest extent L1 leaves behind becomes the spare the next merge
+  // writes into: L1 barely grows from merge to merge, so it usually fits.
+  std::vector<TableRef> spares(in.l1, in.l1 + in.n_l1);
+  if (mg.out.count() == 0 && m.merging.size != 0)
+    spares.push_back(m.merging);  // this merge wrote nothing into it
+  const auto keep = std::max_element(
+      spares.begin(), spares.end(),
+      [](const TableRef& a, const TableRef& b) { return a.size < b.size; });
+  out.merging = keep != spares.end() ? *keep : TableRef{};
 
   pmem::Tx tx(pool_, ctx);
-  Manifest out = m;
-  for (std::uint32_t i = 0; i < m.n_l0; ++i)
-    pool_.tx_free(tx, m.l0[i].off, m.l0[i].size);
-  for (std::uint32_t i = 0; i < m.n_l1; ++i)
-    pool_.tx_free(tx, m.l1[i].off, m.l1[i].size);
-  out.n_l0 = 0;
-  out.n_l1 = 0;
-  if (!entries.empty()) {
-    const std::uint64_t size = SsTable::encoded_size(entries);
-    const std::uint64_t off = pool_.tx_alloc(tx, size);
-    SsTable::Residency res;
-    SsTable::build(ctx, pool_.ns(), off, entries, &sst_scratch_,
-                   opts_.sst_residency ? &res : nullptr);
-    if (opts_.sst_residency) residency_[off] = std::move(res);
-    stats_.sst_bytes_written += size;
-    out.l1[out.n_l1++] = TableRef{off, size};
+  for (std::uint32_t i = 0; i < in.n_l0; ++i)
+    pool_.tx_free(tx, in.l0[i].off, in.l0[i].size);
+  for (auto it = spares.begin(); it != spares.end(); ++it)
+    if (it != keep) pool_.tx_free(tx, it->off, it->size);
+  if (mg.out.count() > 0) {
+    // The run keeps its whole extent. Freeing what the bound over-
+    // reserved (shadowed versions and dropped tombstones) would write a
+    // free-chunk header into lines the merge never wrote, which may still
+    // hold poison.
+    out.l1[out.n_l1++] = mg.extent;
+    if (opts_.sst_residency) residency_[mg.extent.off] = std::move(mg.res);
   }
   store_manifest(ctx, tx, out);
   tx.commit();
   prune_residency(out);
+  ++stats_.compactions;
+  merge_.reset();
+  compaction_pending_ = opts_.background_compaction && compaction_due(out);
 }
 
 }  // namespace xp::kv

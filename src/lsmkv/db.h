@@ -6,13 +6,16 @@
 //   * persistent skiplist memtable, no WAL (fine-grained persistence).
 //
 // Writes go to the memtable (+WAL); when the memtable exceeds the
-// threshold it is flushed to an L0 SSTable; when L0 fills up, all runs
-// are merge-compacted into a single L1 run by a k-way merge over
-// SsTable::Cursor streams (§5.1 sequential bursts). The manifest lives in
+// threshold it is flushed to an L0 SSTable; when L0 has grown to a tenth
+// of L1 (compaction_due), the L0 runs and L1 are merge-compacted into a
+// single L1 run by a k-way merge over SsTable::Cursor streams (§5.1
+// sequential bursts), streamed to an SsTable::Builder. With background
+// compaction the merge advances in bounded turns. The manifest lives in
 // the pool root and is updated transactionally, so crash-recovery resumes
 // from a consistent table set plus WAL replay.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -35,8 +38,12 @@ class Db {
   static constexpr unsigned kMaxL0 = 16;
   static constexpr unsigned kMaxL1 = 16;
 
-  Db(hw::PmemNamespace& ns, DbOptions opts)
-      : opts_(opts), pool_(ns), memtable_(opts_) {}
+  // L1 may hold this many times the L0 bytes before a merge is due: the
+  // textbook level fanout, which bounds how often L1 is rewritten.
+  static constexpr std::uint64_t kLevelFanout = 10;
+
+  Db(hw::PmemNamespace& ns, DbOptions opts);
+  ~Db();
 
   // Format a fresh database.
   void create(sim::ThreadCtx& ctx);
@@ -93,12 +100,24 @@ class Db {
   // Force a memtable flush (normally automatic at memtable_bytes).
   void flush(sim::ThreadCtx& ctx);
 
-  // One deferred-compaction turn (DbOptions::background_compaction): runs
-  // the scheduled merge if one is pending. Returns true if work was done.
-  // Safe to call from any simulated thread, but like every Db entry point
-  // it must be externally serialized against concurrent ops.
+  // One deferred-compaction turn (DbOptions::background_compaction): if a
+  // merge is due, advances it by at most turn_bytes() of output, starting
+  // it if none is in progress and committing it on the turn that writes
+  // its last byte. Returns true if work was done. Safe to call from any
+  // simulated thread, but like every Db entry point it must be externally
+  // serialized against concurrent ops.
   bool background_work(sim::ThreadCtx& ctx);
+  // Merge output one background turn writes at most: half a memtable. A
+  // turn reads its output bytes (and the versions they shadow) and writes
+  // them, where a flush only writes, so the turn books its store's DIMM
+  // about as long as one flush does; ops reaching the DIMM meanwhile
+  // queue behind it.
+  std::uint64_t turn_bytes() const {
+    return std::max<std::uint64_t>(opts_.memtable_bytes / 2, 1);
+  }
   bool compaction_pending() const { return compaction_pending_; }
+  // A merge has started and not yet committed: later turns continue it.
+  bool merge_in_progress() const { return merge_ != nullptr; }
 
   // Recovery invariants (crashmc checker entry point). Call after open():
   // validates pool metadata, the manifest (modes, run counts, table refs
@@ -146,6 +165,11 @@ class Db {
     std::uint32_t n_l1;
     TableRef l0[kMaxL0];  // oldest first
     TableRef l1[kMaxL1];
+    // An extent no run lives in (size 0: none): the output of the merge in
+    // progress, or between merges the spare the next one writes into.
+    // Recorded in the transaction that allocates it, so a crash cannot
+    // leak it: open() frees it.
+    TableRef merging;
   };
   // Redundant manifest copy in the pool's reserved region (between the
   // backup pool header at 2048+56 and the lanes at 4096); the manifest is
@@ -158,7 +182,24 @@ class Db {
                     std::string_view value, bool tombstone);
   std::string check_impl(sim::ThreadCtx& ctx);
   void maybe_flush(sim::ThreadCtx& ctx);
-  void compact(sim::ThreadCtx& ctx, Manifest m);
+
+  // ---- compaction ---------------------------------------------------------
+  struct Merge;  // a merge in progress (db.cc)
+  // The L0 run count a writer may not go past (the stall gate with
+  // background compaction, else the manifest's capacity).
+  unsigned l0_limit() const;
+  // The trigger: at least l0_compaction_trigger L0 runs, and L0 bytes at
+  // least L1 bytes / kLevelFanout or L0 one run below l0_limit().
+  bool compaction_due(const Manifest& m) const;
+  // Advance the merge in progress (starting one over the current runs if
+  // none is) by at most `budget` bytes of output; returns true once it
+  // has committed.
+  bool merge_step(sim::ThreadCtx& ctx, std::uint64_t budget);
+  // Run the merge in progress, or a new one, to completion.
+  void compact(sim::ThreadCtx& ctx);
+  void start_merge(sim::ThreadCtx& ctx);
+  void allocate_output(sim::ThreadCtx& ctx, Merge& mg);
+  void finish_merge(sim::ThreadCtx& ctx);
   // Cursors over every run of `m`, newest first (L0 newest to oldest,
   // then L1), each positioned at the first key >= start_key.
   std::vector<SsTable::Cursor> open_runs(sim::ThreadCtx& ctx,
@@ -196,11 +237,11 @@ class Db {
     bool tombstone;
   };
   std::vector<PendingRec> pending_;
-  std::vector<std::uint8_t> sst_scratch_;  // reused SSTable build buffer
-  // A compaction scheduled by flush() but not yet run (only ever set with
-  // background_compaction on). Volatile by design: open() re-derives it
-  // from the recovered manifest.
+  // A compaction scheduled by flush() but not yet committed (only ever set
+  // with background_compaction on). Volatile by design: open() re-derives
+  // it from the recovered manifest.
   bool compaction_pending_ = false;
+  std::unique_ptr<Merge> merge_;
 
   // ---- read-path state (all empty/null with the knobs off) ---------------
   std::optional<Manifest> manifest_cache_;  // DRAM mirror (sst_residency)

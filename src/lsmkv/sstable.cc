@@ -10,72 +10,128 @@
 namespace xp::kv {
 
 std::uint64_t SsTable::encoded_size(const std::vector<Entry>& entries) {
-  BloomBuilder bloom(entries.size());
-  std::uint64_t size =
-      sizeof(Header) + bloom.bits().size() + entries.size() * 4;
-  for (const Entry& e : entries) size += 8 + e.key.size() + e.value.size();
-  return size;
+  std::uint64_t data = 0;
+  for (const Entry& e : entries) data += 8 + e.key.size() + e.value.size();
+  return Builder::bound(entries.size(), data);
 }
 
 std::uint64_t SsTable::build(sim::ThreadCtx& ctx, hw::PmemNamespace& ns,
                              std::uint64_t off,
                              const std::vector<Entry>& entries,
-                             std::vector<std::uint8_t>* scratch,
                              Residency* residency) {
-  const std::uint64_t total = encoded_size(entries);
-  std::vector<std::uint8_t> local;
-  std::vector<std::uint8_t>& buf = scratch != nullptr ? *scratch : local;
-  buf.resize(total);  // every byte below is overwritten; stale reuse is fine
+  Builder b;
+  for (const Entry& e : entries) b.add(e.key, e.value, e.tombstone);
+  b.seal(residency);
+  b.write(ctx, ns, off, b.size());
+  assert(b.done());
+  return b.size();
+}
 
-  BloomBuilder bloom(entries.size());
-  for (const Entry& e : entries) bloom.add(e.key);
+SsTable::Layout SsTable::layout(std::uint64_t off, const Header& h) {
+  const std::uint64_t meta = h.filter_len + std::uint64_t{h.count} * 4;
+  // A header whose sizes disagree cannot place its regions below the
+  // header; Db::check reports what such a table then fails to hold.
+  const std::uint64_t end =
+      off + std::max<std::uint64_t>(h.total_bytes, sizeof(Header) + meta);
+  const std::uint64_t offsets = end - std::uint64_t{h.count} * 4;
+  return {off + sizeof(Header), offsets - h.filter_len, offsets};
+}
 
-  Header h{kMagic, static_cast<std::uint32_t>(entries.size()),
-           static_cast<std::uint32_t>(total),
-           static_cast<std::uint32_t>(bloom.bits().size()), 0};
-  std::memcpy(buf.data() + sizeof(Header), bloom.bits().data(),
-              bloom.bits().size());
+// ---------------------------------------------------------- Builder ----
 
-  const std::size_t offsets_at = sizeof(Header) + bloom.bits().size();
-  const std::size_t data_at = offsets_at + entries.size() * 4;
-  std::size_t pos = data_at;
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const Entry& e = entries[i];
-    const auto rel = static_cast<std::uint32_t>(pos - data_at);
-    std::memcpy(buf.data() + offsets_at + i * 4, &rel, 4);
-    const auto klen = static_cast<std::uint32_t>(e.key.size());
-    const std::uint32_t vlen = static_cast<std::uint32_t>(e.value.size()) |
-                               (e.tombstone ? kTombstoneBit : 0);
-    std::memcpy(buf.data() + pos, &klen, 4);
-    std::memcpy(buf.data() + pos + 4, &vlen, 4);
-    std::memcpy(buf.data() + pos + 8, e.key.data(), e.key.size());
-    std::memcpy(buf.data() + pos + 8 + e.key.size(), e.value.data(),
-                e.value.size());
-    pos += 8 + e.key.size() + e.value.size();
+std::uint64_t SsTable::Builder::bound(std::uint64_t n,
+                                      std::uint64_t data_bytes) {
+  return sizeof(Header) + data_bytes + BloomBuilder::bytes_for(n) + n * 4;
+}
+
+SsTable::Builder::Builder() : buf_(sizeof(Header), 0) {}
+
+std::uint64_t SsTable::Builder::staged() const {
+  return size() - wr_ + (header_late_ ? sizeof(Header) : 0);
+}
+
+void SsTable::Builder::append(const void* p, std::size_t n) {
+  if (n == 0) return;  // p may be null (an empty value or offset array)
+  const std::size_t at = buf_.size();
+  buf_.resize(at + n);
+  std::memcpy(buf_.data() + at, p, n);
+  crc_ = sim::crc32c(buf_.data() + at, n, crc_);
+}
+
+void SsTable::Builder::add(std::string_view key, std::string_view value,
+                           bool tombstone) {
+  assert(!sealed_);
+  offsets_.push_back(static_cast<std::uint32_t>(size() - sizeof(Header)));
+  hashes_.push_back(BloomBuilder::hash(key));
+  const auto klen = static_cast<std::uint32_t>(key.size());
+  const std::uint32_t vlen = static_cast<std::uint32_t>(value.size()) |
+                             (tombstone ? kTombstoneBit : 0);
+  append(&klen, 4);
+  append(&vlen, 4);
+  append(key.data(), key.size());
+  append(value.data(), value.size());
+}
+
+void SsTable::Builder::seal(Residency* residency) {
+  assert(!sealed_);
+  sealed_ = true;
+  BloomBuilder bloom(offsets_.size());
+  for (const std::uint64_t h : hashes_) bloom.add_hash(h);
+  filter_len_ = static_cast<std::uint32_t>(bloom.bits().size());
+  append(bloom.bits().data(), bloom.bits().size());
+  append(offsets_.data(), offsets_.size() * 4);
+  if (wr_ == 0) {  // nothing written yet: the header leads the first burst
+    const Header h{kMagic, count(), static_cast<std::uint32_t>(size()),
+                   filter_len_, crc_};
+    std::memcpy(buf_.data(), &h, sizeof(h));
+  } else {
+    header_late_ = true;
   }
-  assert(pos == total);
-  h.crc = sim::crc32c(buf.data() + sizeof(Header), total - sizeof(Header));
-  std::memcpy(buf.data(), &h, sizeof(h));
-
   if (residency != nullptr) {
-    residency->count = h.count;
-    residency->filter.assign(buf.data() + sizeof(Header),
-                             buf.data() + sizeof(Header) + h.filter_len);
-    residency->offsets.resize(entries.size());
-    std::memcpy(residency->offsets.data(), buf.data() + offsets_at,
-                entries.size() * 4);
+    residency->count = count();
+    residency->filter = bloom.bits();
+    residency->offsets = offsets_;
   }
+}
 
-  // One big sequential non-temporal write (chunked to bound scheduler-step
-  // atomicity), then a fence.
-  constexpr std::size_t kChunk = 4096;
-  for (std::size_t p = 0; p < total; p += kChunk) {
-    const std::size_t n = std::min(kChunk, static_cast<std::size_t>(total) - p);
-    ns.ntstore(ctx, off + p,
-               std::span<const std::uint8_t>(buf.data() + p, n));
+std::uint64_t SsTable::Builder::write(sim::ThreadCtx& ctx,
+                                      hw::PmemNamespace& ns,
+                                      std::uint64_t off,
+                                      std::uint64_t budget) {
+  constexpr std::uint64_t kLine = hw::Platform::kXpLineBytes;
+  std::uint64_t stop = size();
+  if (!sealed_) {
+    const std::uint64_t line_end = (off + stop) / kLine * kLine;
+    if (line_end > off + wr_) stop = line_end - off;
   }
-  ns.sfence(ctx);
-  return total;
+  if (stop - wr_ > budget) stop = wr_ + budget;
+  std::uint64_t n = 0;
+  while (wr_ < stop) {
+    const std::uint64_t to =
+        std::min(stop, (off + wr_) / kLine * kLine + Cursor::kBurst - off);
+    ns.ntstore(ctx, off + wr_,
+               std::span<const std::uint8_t>(buf_.data() + (wr_ - lo_),
+                                             to - wr_));
+    n += to - wr_;
+    wr_ = to;
+  }
+  if (header_late_ && wr_ == size() && n + sizeof(Header) <= budget) {
+    const Header h{kMagic, count(), static_cast<std::uint32_t>(size()),
+                   filter_len_, crc_};
+    ns.ntstore(ctx, off,
+               std::span<const std::uint8_t>(
+                   reinterpret_cast<const std::uint8_t*>(&h), sizeof(h)));
+    n += sizeof(Header);
+    header_late_ = false;
+  }
+  // One fence, once the whole table is out: a partly written table is
+  // garbage to recovery anyway, so earlier bursts need not wait to drain.
+  if (n > 0 && done()) ns.sfence(ctx);
+  // Drop the written prefix once per call rather than once per burst.
+  buf_.erase(buf_.begin(),
+             buf_.begin() + static_cast<std::ptrdiff_t>(wr_ - lo_));
+  lo_ = wr_;
+  return n;
 }
 
 Status SsTable::verify_checksum(sim::ThreadCtx& ctx, hw::PmemNamespace& ns,
@@ -122,13 +178,14 @@ FindResult SsTable::get(sim::ThreadCtx& ctx, hw::PmemNamespace& ns,
                         std::string* value, std::string* keybuf) {
   const auto h = ns.load_pod<Header>(ctx, off);
   assert(h.magic == kMagic);
+  const Layout at = layout(off, h);
   // Bloom check first: absent keys skip the run with high probability.
   std::vector<std::uint8_t> filter(h.filter_len);
-  if (h.filter_len > 0) ns.load(ctx, off + sizeof(Header), filter);
+  if (h.filter_len > 0) ns.load(ctx, at.filter, filter);
   if (!BloomBuilder::may_contain(filter.data(), filter.size(), key))
     return FindResult::kNotFound;
-  const std::uint64_t offsets_at = off + sizeof(Header) + h.filter_len;
-  const std::uint64_t data_at = offsets_at + h.count * 4;
+  const std::uint64_t offsets_at = at.offsets;
+  const std::uint64_t data_at = at.data;
 
   std::string local;
   std::string& k = keybuf != nullptr ? *keybuf : local;
@@ -168,11 +225,12 @@ SsTable::Residency SsTable::load_residency(sim::ThreadCtx& ctx,
   assert(h.magic == kMagic);
   Residency r;
   r.count = h.count;
+  const Layout at = layout(off, h);
   r.filter.resize(h.filter_len);
-  if (h.filter_len > 0) ns.load(ctx, off + sizeof(Header), r.filter);
+  if (h.filter_len > 0) ns.load(ctx, at.filter, r.filter);
   r.offsets.resize(h.count);
   if (h.count > 0)
-    ns.load(ctx, off + sizeof(Header) + h.filter_len,
+    ns.load(ctx, at.offsets,
             std::span<std::uint8_t>(
                 reinterpret_cast<std::uint8_t*>(r.offsets.data()),
                 std::size_t{h.count} * 4));
@@ -189,6 +247,7 @@ FindResult SsTable::get_ex(sim::ThreadCtx& ctx, hw::PmemNamespace& ns,
   std::uint32_t filter_len;
   const std::uint8_t* fbits;
   std::vector<std::uint8_t> filter_local;
+  std::uint64_t offsets_at = 0;  // read only without residency
   if (rc.res != nullptr) {
     count = rc.res->count;
     filter_len = static_cast<std::uint32_t>(rc.res->filter.size());
@@ -196,17 +255,17 @@ FindResult SsTable::get_ex(sim::ThreadCtx& ctx, hw::PmemNamespace& ns,
   } else {
     const auto h = rc.reader->fetch_pod<Header>(ctx, ns, off);
     assert(h.magic == kMagic);
+    const Layout at = layout(off, h);
     count = h.count;
     filter_len = h.filter_len;
+    offsets_at = at.offsets;
     filter_local.resize(filter_len);
-    if (filter_len > 0)
-      rc.reader->read(ctx, ns, off + sizeof(Header), filter_local);
+    if (filter_len > 0) rc.reader->read(ctx, ns, at.filter, filter_local);
     fbits = filter_local.data();
   }
   if (!BloomBuilder::may_contain(fbits, filter_len, key))
     return FindResult::kNotFound;
-  const std::uint64_t offsets_at = off + sizeof(Header) + filter_len;
-  const std::uint64_t data_at = offsets_at + std::uint64_t{count} * 4;
+  const std::uint64_t data_at = off + sizeof(Header);
 
   std::string local;
   std::string& k = rc.keybuf != nullptr ? *rc.keybuf : local;
@@ -285,9 +344,10 @@ SsTable::Cursor::Cursor(sim::ThreadCtx& ctx, hw::PmemNamespace& ns,
   assert(res == nullptr || res->count == h.count);
   count_ = h.count;
   idx_ = count_;  // not positioned yet
-  offsets_at_ = off + sizeof(Header) + h.filter_len;
-  data_at_ = offsets_at_ + std::uint64_t{h.count} * 4;
-  end_ = off + h.total_bytes;
+  const Layout at = layout(off, h);
+  offsets_at_ = at.offsets;
+  data_at_ = at.data;
+  end_ = at.filter;
 }
 
 void SsTable::Cursor::seek(sim::ThreadCtx& ctx, std::string_view key) {

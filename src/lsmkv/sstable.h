@@ -1,16 +1,20 @@
 // Sorted string table: the immutable on-pmem run format.
 //
 // Layout at `off`:
-//   {u64 magic, u32 count, u32 total_bytes, u32 filter_len, u32 pad}
+//   {u64 magic, u32 count, u32 total_bytes, u32 filter_len, u32 crc}
+//   entries: {u32 klen, u32 vlen|tomb, key bytes, value bytes}
 //   bloom filter bytes (kv::BloomBuilder, ~10 bits/key)
 //   u32 entry_offsets[count]              (relative to the data area)
-//   entries: {u32 klen, u32 vlen|tomb, key bytes, value bytes}
 //
-// Built with a single large sequential non-temporal write (guideline #2);
-// point lookups consult the bloom filter first (absent keys skip the
-// whole run), then binary-search the offset array with timed loads,
-// giving realistic read amplification. Compaction, scans and checks read
-// it back through Cursor: sequential bursts of the data area.
+// The data area leads, so a table can be written front to back before
+// its entry count is known (Builder, a merge spread over many turns);
+// the filter and offset array follow the last entry, and the header is
+// written last. Written in large sequential non-temporal bursts
+// (guideline #2); point lookups consult the bloom filter first (absent
+// keys skip the whole run), then binary-search the offset array with
+// timed loads, giving realistic read amplification. Compaction, scans
+// and checks read it back through Cursor: sequential bursts of the data
+// area.
 #pragma once
 
 #include <cstdint>
@@ -56,16 +60,12 @@ class SsTable {
   // Serialized size of `entries` (for allocation).
   static std::uint64_t encoded_size(const std::vector<Entry>& entries);
 
-  // Serialize sorted `entries` to ns[off..]; returns bytes written.
-  // `scratch` (optional) is the staging buffer to reuse across builds —
-  // every byte of it is rewritten, so callers can hand in the same
-  // vector repeatedly and skip the per-build heap allocation.
-  // `residency` (optional) is filled from the staged bytes — no extra PM
-  // traffic.
+  // Serialize sorted `entries` to ns[off..] in one go (a Builder written
+  // without a budget); returns bytes written. `residency` (optional) is
+  // filled from the staged bytes — no extra PM traffic.
   static std::uint64_t build(sim::ThreadCtx& ctx, hw::PmemNamespace& ns,
                              std::uint64_t off,
                              const std::vector<Entry>& entries,
-                             std::vector<std::uint8_t>* scratch = nullptr,
                              Residency* residency = nullptr);
 
   // One-time timed load of a table's residency metadata (open/recovery
@@ -99,14 +99,15 @@ class SsTable {
                                   std::uint64_t off);
 
   // Sorted walk over one table (§5.1: read sequentially, in large
-  // XPLine-aligned bursts, at full MLP). build() writes entries back to
+  // XPLine-aligned bursts, at full MLP). Builder writes entries back to
   // back in key order, so the cursor streams the data area front to back
   // in bursts of at most kBurst bytes without touching the offset array;
   // each burst is one sequential load pipelined at streaming MLP even on
   // a latency-bound thread (the LineReader::load_run precedent). Bursts
-  // end on XPLine boundaries and never extend past the table's last byte,
-  // so a read never touches a neighbouring allocation's lines: a poisoned
-  // line inside the table throws hw::MediaError, one past it does not.
+  // end on XPLine boundaries and never extend past the data area's last
+  // byte, so a read never touches a neighbouring allocation's lines: a
+  // poisoned line inside the data throws hw::MediaError, one past the
+  // table does not.
   //
   // Usage: Cursor c(ctx, ns, off); for (c.seek(ctx, ""); c.valid();
   // c.next(ctx)) use(c.key(), c.value(), c.tombstone());
@@ -128,6 +129,8 @@ class SsTable {
 
     bool valid() const { return idx_ < count_; }
     std::uint32_t count() const { return count_; }
+    // Size of the table's data area: its entries, length words included.
+    std::uint64_t data_bytes() const { return end_ - data_at_; }
     std::string_view key() const { return {at(pos_ + 8), klen_}; }
     std::string_view value() const { return {at(pos_ + 8 + klen_), vlen_}; }
     bool tombstone() const { return tomb_; }
@@ -137,7 +140,7 @@ class SsTable {
       return reinterpret_cast<const char*>(buf_.data() + (p - buf_lo_));
     }
     // Parse the entry at pos_, streaming in whatever it needs. An entry
-    // that claims bytes past the table's end ends the walk (Db::check
+    // that claims bytes past the data area's end ends the walk (Db::check
     // reports the short count).
     void decode(sim::ThreadCtx& ctx);
     // Stage [p, p + len) (p >= buf_lo_), loading forward in bursts.
@@ -149,13 +152,68 @@ class SsTable {
     std::uint32_t idx_ = 0;
     std::uint64_t offsets_at_ = 0;
     std::uint64_t data_at_ = 0;
-    std::uint64_t end_ = 0;  // one past the table's last byte
+    std::uint64_t end_ = 0;  // one past the data area's last byte
     std::uint64_t pos_ = 0;  // current entry
     std::uint32_t klen_ = 0;
     std::uint32_t vlen_ = 0;
     bool tomb_ = false;
     std::vector<std::uint8_t> buf_;  // staged bytes [buf_lo_, buf_lo_ + size)
     std::uint64_t buf_lo_ = 0;
+  };
+
+  // Streams a table to PM front to back: the write-side twin of Cursor,
+  // for a merge whose output is spread over many bounded steps. add()
+  // stages entries in DRAM; write() stores at most `budget` staged bytes
+  // per call, in sequential ntstore bursts of at most Cursor::kBurst that
+  // end on XPLine boundaries, and fences after the table's last byte.
+  // seal() appends the filter and offset array once the last entry is in.
+  // The header goes out with the first burst when the table is sealed by
+  // then (a flush), else after everything else (a merge), so a partly
+  // written table never carries a valid header.
+  //
+  // Usage: Builder b; b.add(...); ...; b.seal(); then
+  // while (!b.done()) b.write(ctx, ns, off, budget) into an extent of at
+  // least b.size() bytes (bound() before the entries are known).
+  class Builder {
+   public:
+    // Largest encoded size of a table of at most `n` entries whose
+    // entries (length words included) total at most `data_bytes`: what a
+    // merge allocates for its output before it knows what survives.
+    static std::uint64_t bound(std::uint64_t n, std::uint64_t data_bytes);
+
+    Builder();
+    void add(std::string_view key, std::string_view value, bool tombstone);
+    // `residency` (optional) is filled from the staged bytes.
+    void seal(Residency* residency = nullptr);
+    // Writes up to `budget` staged bytes to the table at `off` (and the
+    // fence, if that completes the table); returns the bytes written.
+    // Before seal() a trailing partial XPLine stays staged for the next
+    // call.
+    std::uint64_t write(sim::ThreadCtx& ctx, hw::PmemNamespace& ns,
+                        std::uint64_t off, std::uint64_t budget);
+
+    std::uint32_t count() const {
+      return static_cast<std::uint32_t>(offsets_.size());
+    }
+    // Encoded size so far, header included.
+    std::uint64_t size() const { return lo_ + buf_.size(); }
+    // Bytes added but not yet written.
+    std::uint64_t staged() const;
+    bool sealed() const { return sealed_; }
+    bool done() const { return sealed_ && staged() == 0; }
+
+   private:
+    void append(const void* p, std::size_t n);
+
+    std::vector<std::uint8_t> buf_;  // table bytes [lo_, size())
+    std::uint64_t lo_ = 0;
+    std::uint64_t wr_ = 0;  // next table byte to write (>= lo_)
+    std::vector<std::uint32_t> offsets_;
+    std::vector<std::uint64_t> hashes_;  // BloomBuilder::hash of each key
+    std::uint32_t crc_ = 0;              // over every byte after the header
+    std::uint32_t filter_len_ = 0;
+    bool sealed_ = false;
+    bool header_late_ = false;  // header still owed at `off`
   };
 
  private:
@@ -166,6 +224,14 @@ class SsTable {
     std::uint32_t filter_len;
     std::uint32_t crc;  // CRC32C over everything after the header
   };
+  // Where a table's regions start: the data area right after the header,
+  // then the filter, then the offset array, which ends the table.
+  struct Layout {
+    std::uint64_t data;
+    std::uint64_t filter;  // also one past the data area's last byte
+    std::uint64_t offsets;
+  };
+  static Layout layout(std::uint64_t off, const Header& h);
   static constexpr std::uint32_t kTombstoneBit = 0x80000000u;
 };
 

@@ -68,6 +68,10 @@ class Target {
 
   // Pre-populated keys present before any recorded op (default none).
   virtual std::map<std::string, std::string> initial_state() { return {}; }
+
+  // Whether the test fault this target was built with changes anything
+  // it runs (a row with no increment has no increment lock to elide).
+  virtual bool fault_seeded() const { return false; }
 };
 
 struct Violation {

@@ -85,6 +85,7 @@ class PmemlibTarget final : public WorkerTarget {
   explicit PmemlibTarget(const TargetOptions& o) : WorkerTarget(o) {}
 
   const char* name() const override { return "pmemlib"; }
+  bool fault_seeded() const override { return elide(opts_); }
 
   void reset() override {
     platform_ = std::make_unique<hw::Platform>();
@@ -401,6 +402,7 @@ class KvTarget final : public WorkerTarget {
       : WorkerTarget(o), row_(std::move(row)), locks_(row_.shards) {}
 
   const char* name() const override { return row_.name; }
+  bool fault_seeded() const override { return elide(opts_) && row_.rmws != 0; }
 
   void reset() override {
     platform_ = std::make_unique<hw::Platform>();

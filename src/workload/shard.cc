@@ -722,7 +722,9 @@ bool ShardedStore::background_turn(sim::ThreadCtx& ctx) {
     try {
       LaneGuard lane(ctx, opts_.writer_lanes, s);
       if (shards_[s]->background_turn(ctx)) {
-        rr_ = (s + 1) % shards();
+        // Stay on a merge until it commits: it has only the turns until
+        // its store's L0 reaches the stall gate.
+        rr_ = shards_[s]->background_busy() ? s : (s + 1) % shards();
         return true;
       }
     } catch (const hw::MediaError&) {

@@ -133,6 +133,10 @@ class StoreIface {
     (void)ctx;
     return false;
   }
+  // True while work begun on an earlier turn awaits later ones (an lsmkv
+  // merge between its first and its committing turn). A frontend sharing
+  // its turns among stores keeps them on a busy store until this clears.
+  virtual bool background_busy() const { return false; }
 
   virtual Status check(sim::ThreadCtx& ctx) = 0;
 

@@ -147,6 +147,7 @@ class LsmkvStore final : public StoreIface {
   bool background_turn(sim::ThreadCtx& ctx) override {
     return db_.background_work(ctx);
   }
+  bool background_busy() const override { return db_.merge_in_progress(); }
   Status check(sim::ThreadCtx& ctx) override { return db_.check(ctx); }
   hw::Platform* platform_of() const override { return &ns_.platform(); }
   Status repair_media(sim::ThreadCtx& ctx) override {

@@ -98,6 +98,14 @@ TEST(CrashMcSweep, Stree) {
 // dispatch and donated background merges. Each shard's recovered
 // restriction must be that shard's pre- or post-op state (a shard's
 // batch slice is atomic; the cross-shard batch as a whole is not).
+// Every persist event of a run whose background merges each span several
+// bounded turns: a crash between or inside the turns of a partial merge
+// recovers to the committed runs, with the merge's extent freed.
+TEST(CrashMcSweep, LsmkvMultiTurnMerge) {
+  auto t = crashmc::make_lsmkv_merge_target();
+  expect_clean_sweep(*t, {.max_exhaustive = 2048, .samples = 200}, 1000);
+}
+
 TEST(CrashMcSweep, ShardedLsmkv) {
   auto t = crashmc::make_sharded_target();
   expect_clean_sweep(*t, {.max_exhaustive = 256, .samples = 200}, 200);

@@ -703,6 +703,146 @@ TEST(StreamingCompactionDevice, PoisonPastInputEndIsNeverRead) {
   }
 }
 
+// --------------------------------------------- bounded, resumable merges --
+// A background merge advances by at most turn_bytes() of output per turn
+// and commits on the turn that writes its last byte.
+
+DbOptions turn_opts(bool background) {
+  DbOptions o;
+  o.memtable_bytes = 32 << 10;  // 16 KiB turns; merges span many
+  o.wal_capacity = 8 << 20;
+  o.background_compaction = background;
+  return o;
+}
+
+// Rounds of overwrites over a growing key set, one flush each (a round
+// stays below the memtable threshold).
+void put_round(ThreadCtx& t, Db& db, Model* model, int round) {
+  for (int i = 0; i < 150; ++i) {
+    const int k = (round * 211 + i * 13) % (200 + round * 100);
+    db.put(t, key_of(k), value_of(round * 1000 + i));
+    (*model)[key_of(k)] = value_of(round * 1000 + i);
+  }
+  db.flush(t);
+}
+
+// Run the pending merge to its commit, one turn at a time, checking that
+// no turn writes more than its budget and that reads stay exact while
+// the merge is part way done. Returns the turns taken.
+int run_merge(ThreadCtx& t, Db& db, const Model& model, std::mt19937_64& rng) {
+  const std::uint64_t merges = db.stats().compactions;
+  int turns = 0;
+  while (db.stats().compactions == merges) {
+    const std::uint64_t written = db.stats().sst_bytes_written;
+    EXPECT_TRUE(db.background_work(t));
+    ++turns;
+    EXPECT_LE(db.stats().sst_bytes_written - written, db.turn_bytes());
+    EXPECT_LE(db.turn_bytes(), db.options().memtable_bytes);
+    if (turns % 7 == 1 && db.merge_in_progress()) {
+      EXPECT_NO_FATAL_FAILURE(expect_matches(t, db, model, 2600, rng));
+    }
+  }
+  EXPECT_FALSE(db.merge_in_progress());
+  return turns;
+}
+
+TEST(ResumableMerge, SpreadOverTurnsMatchesAnInlineMerge) {
+  Platform pa, pb;
+  PmemNamespace& na = pa.optane(256 << 20);
+  PmemNamespace& nb = pb.optane(256 << 20);
+  ThreadCtx t = make_thread();
+  Db spread(na, turn_opts(true));
+  Db inline_db(nb, turn_opts(false));
+  spread.create(t);
+  inline_db.create(t);
+  std::mt19937_64 rng(3);
+  Model model;
+  int most_turns = 0;
+  for (int round = 0; round < 24; ++round) {
+    Model unused;
+    put_round(t, spread, &model, round);
+    put_round(t, inline_db, &unused, round);
+    if (spread.compaction_pending())
+      most_turns = std::max(most_turns, run_merge(t, spread, model, rng));
+    ASSERT_EQ(spread.stats().compactions, inline_db.stats().compactions);
+  }
+  EXPECT_GE(spread.stats().compactions, 3u);
+  EXPECT_GT(most_turns, 8);
+  EXPECT_EQ(spread.stats().write_stalls, 0u);
+
+  // Same merges at the same flushes: the same runs at the same offsets,
+  // byte for byte, and the same answers.
+  const auto runs = spread.runs(t);
+  ASSERT_EQ(runs.size(), inline_db.runs(t).size());
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const Db::RunInfo& r = runs[i];
+    EXPECT_EQ(r.off, inline_db.runs(t)[i].off);
+    ASSERT_EQ(r.size, inline_db.runs(t)[i].size);
+    std::vector<std::uint8_t> a(SsTable::size_bytes(t, na, r.off));
+    std::vector<std::uint8_t> b(a.size());
+    na.peek(r.off, a);
+    nb.peek(r.off, b);
+    EXPECT_EQ(a, b) << "run " << i;
+  }
+  EXPECT_TRUE(spread.check(t).ok());
+  EXPECT_TRUE(inline_db.check(t).ok());
+  EXPECT_EQ(spread.scan(t, "", 100000), inline_db.scan(t, "", 100000));
+  ASSERT_NO_FATAL_FAILURE(expect_matches(t, spread, model, 2600, rng));
+  ASSERT_NO_FATAL_FAILURE(expect_matches(t, inline_db, model, 2600, rng));
+}
+
+// A crash part way through a merge: recovery frees the output extent the
+// merge had recorded, re-derives the debt, and the redone merge matches.
+TEST(ResumableMerge, CrashInsidePartialMergeFreesItsExtent) {
+  for (const int cut : {1, 4, 9}) {
+    Platform platform;
+    PmemNamespace& ns = platform.optane(256 << 20);
+    ThreadCtx t = make_thread();
+    std::mt19937_64 rng(cut);
+    Model model;
+    std::uint64_t extent_off = 0;
+    std::uint64_t extent_size = 0;
+    {
+      Db db(ns, turn_opts(true));
+      db.create(t);
+      // Committed merges first, so the cut one rewrites a sizable L1.
+      int round = 0;
+      for (; round < 14; ++round) {
+        put_round(t, db, &model, round);
+        while (db.background_work(t)) {
+        }
+      }
+      ASSERT_GT(db.stats().compactions, 0u);
+      while (!db.compaction_pending()) put_round(t, db, &model, round++);
+      const std::uint64_t top = db.pool().heap_top(t);
+      for (int i = 0; i < cut; ++i) ASSERT_TRUE(db.background_work(t));
+      ASSERT_TRUE(db.merge_in_progress()) << "cut " << cut;
+      extent_off = top;
+      extent_size = db.pool().heap_top(t) - top;
+      ASSERT_GT(extent_size, 0u) << "the merge recorded no new extent";
+      platform.crash();
+    }
+    Db db(ns, turn_opts(true));
+    ASSERT_TRUE(db.open(t));
+    ASSERT_TRUE(db.check(t).ok()) << db.check(t).to_string();
+    EXPECT_TRUE(db.compaction_pending());
+    EXPECT_FALSE(db.merge_in_progress());
+    ASSERT_NO_FATAL_FAILURE(expect_matches(t, db, model, 2600, rng));
+    {
+      // The cut merge's extent went back to the allocator: an allocation
+      // of its size is served from it (free-list head, exact fit). The
+      // probe rolls back.
+      pmem::Tx probe(db.pool(), t);
+      EXPECT_EQ(db.pool().tx_alloc(probe, extent_size), extent_off)
+          << "cut " << cut;
+    }
+    EXPECT_TRUE(db.pool().check(t).ok());
+    EXPECT_GT(run_merge(t, db, model, rng), cut);
+    ASSERT_NO_FATAL_FAILURE(expect_matches(t, db, model, 2600, rng));
+    EXPECT_TRUE(db.check(t).ok());
+  }
+}
+
 // ---- Fig 8 anchor -------------------------------------------------------
 double set_throughput(hw::Device device, WalMode wal, MemtableMode mem) {
   Platform platform;

@@ -387,6 +387,22 @@ TEST(CrashCompose, ShardedRecoversToLinearizablePrefix) {
 // The oracle must catch the deliberately broken lock elision: with the
 // RMW critical section split, two racing increments can both read the
 // same old value, and no sequential order explains the history.
+// kElideRmwLock only splits an increment: rows without one seed nothing,
+// and schedmc_sweep --fault rejects them rather than reporting a miss.
+TEST(SeededRegression, ElidedRmwLockSeedsOnlyRowsWithAnIncrement) {
+  TargetOptions to;
+  to.fault = TestFault::kElideRmwLock;
+  std::map<std::string, bool> seeded;
+  for (auto* panel : {&all_targets, &extra_targets})
+    for (const auto& t : (*panel)(to)) seeded[t->name()] = t->fault_seeded();
+  const std::map<std::string, bool> want = {
+      {"pmemlib", true}, {"lsmkv", true},  {"sharded-lsmkv", true},
+      {"novafs", false}, {"cmap", false},  {"stree", false}};
+  EXPECT_EQ(seeded, want);
+  for (const auto& t : all_targets(TargetOptions{}))
+    EXPECT_FALSE(t->fault_seeded()) << t->name();
+}
+
 TEST(SeededRegression, PmemlibElidedRmwLockCaught) {
   TargetOptions to;
   to.fault = TestFault::kElideRmwLock;
