@@ -366,7 +366,6 @@ Row run_lsmkv_read(const Cfg& c) {
   sim::ThreadCtx t({.id = 0, .socket = 0, .mlp = 8, .seed = 1});
   kv::DbOptions o;
   o.memtable_bytes = 16 << 10;  // force SSTables: reads hit the media
-  o.sst_residency = c.optimized;
   o.read_combine = c.optimized;
   o.read_cache_lines = c.optimized ? c.cache_lines : 0;
   kv::Db db(ns, o);

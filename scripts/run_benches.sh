@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Build Release, run the self-measurement harnesses (bench_timing writes
-# BENCH_sweep.json, bench_stores writes BENCH_stores.json), and guard
-# the sweep engine's determinism contract: every converted figure bench
-# must print byte-identical tables with --jobs 1 and --jobs N. Intended
-# for CI and for refreshing the committed JSON baselines.
+# BENCH_sweep.json, bench_stores writes BENCH_stores.json), print the
+# store-level figure tables (Fig 8, 12, 17), and guard the sweep engine's
+# determinism contract: every converted figure bench must print
+# byte-identical tables with --jobs 1 and --jobs N. Intended for CI and
+# for refreshing the committed JSON baselines.
 #
 # Usage: scripts/run_benches.sh [jobs]
 #   jobs  defaults to the machine's core count (or XP_JOBS if set).
@@ -21,7 +22,8 @@ cmake --build "$BUILD" -j "$(nproc)" --target \
     bench_timing bench_stores bench_ycsb fig02_idle_latency \
     fig04_bw_threads fig05_bw_access_size fig06_latency_under_load \
     fig13_persist_instructions fig14_sfence_interval \
-    fig16_imc_contention > /dev/null
+    fig16_imc_contention fig08_rocksdb fig12_fileio_latency \
+    fig17_multidimm_nova > /dev/null
 
 echo "== bench_timing (jobs=$JOBS) =="
 "$BUILD/bench/bench_timing" --jobs "$JOBS" --host-cores "$CORES" \
@@ -44,6 +46,17 @@ echo "== bench_ycsb (jobs=$JOBS) =="
 # byte-identical-at-any---jobs contract) or a resilience gate fails.
 "$BUILD/bench/bench_ycsb" --faults --jobs "$JOBS" --host-cores "$CORES" \
     --out BENCH_YCSB.json
+
+# The store-level figures: lsmkv WAL/memtable designs (Fig 8), file-IO
+# latency on NOVA and the DAX file systems (Fig 12), and NOVA scaling
+# over DIMMs (Fig 17). Their tables are printed whole, so comparing this
+# script's output between two commits covers the lsmkv and file-system
+# cost constants they read.
+for bench in fig08_rocksdb fig12_fileio_latency fig17_multidimm_nova; do
+  echo
+  echo "== $bench =="
+  "$BUILD/bench/$bench"
+done
 
 # Determinism guard: byte-identical tables regardless of job count. The
 # quick benches run their full sweeps; the long ones are already covered

@@ -439,8 +439,9 @@ class KvTarget final : public Target {
         std::string v;
         (void)store_->try_get(ctx, key, &v);
       }
-      // Donated turns put crash points inside deferred merges and online
-      // rebuilds (neither changes the logical state).
+      // Donated turns put crash points inside deferred merges (in rows
+      // that reach one, such as lsmkv-merge) and online rebuilds (neither
+      // changes the logical state).
       if (row_.bg_every != 0 && step % row_.bg_every == row_.bg_every - 1)
         for (unsigned i = 0; i < row_.bg_turns; ++i)
           store_->background_turn(ctx);
@@ -578,8 +579,10 @@ std::unique_ptr<Target> make_novafs_target(bool log_checksum,
   return std::make_unique<NovafsTarget>(log_checksum, batch_appends);
 }
 
-// Small memtable and a low L0 trigger pull flushes and a compaction into
-// the crash window; every op is WAL-synced before it returns.
+// A 512 B memtable and a 2-run trigger: per record the run reaches one
+// flush and no merge, with group commit two flushes and one merge
+// (lsmkv-merge is the row for merges). Every op is WAL-synced before it
+// returns.
 std::unique_ptr<Target> make_lsmkv_target(kv::WalMode mode,
                                           bool wal_checksum,
                                           bool group_commit) {
@@ -677,7 +680,7 @@ std::unique_ptr<Target> make_sharded_target() {
   // per shard (Db::put_batch groups unconditionally).
   so.tuning.write_combine = false;
   so.tuning.background_compaction = true;
-  so.tuning.memtable_bytes = 1 << 10;  // flush + merge under the run
+  so.tuning.memtable_bytes = 1 << 10;  // the run fills neither memtable
   so.writer_lanes = true;
   return std::make_unique<KvTarget>(KvRow{
       .name = "sharded-lsmkv",

@@ -48,7 +48,10 @@ std::unique_ptr<Target> make_pmemlib_target(bool inject_commit_fault = false);
 // torn/garbage WAL bytes, not just poison); used by the fault campaign.
 // `group_commit` runs the workload through put_batch groups — the
 // acknowledged unit becomes the batch, and a crash inside a group must
-// roll back to the previous group boundary.
+// roll back to the previous group boundary. Per record the run reaches
+// one memtable flush and no merge; group commit, with twice the records,
+// two flushes and one merge. make_lsmkv_merge_target is the row for
+// crash points inside merges.
 std::unique_ptr<Target> make_lsmkv_target(
     kv::WalMode mode = kv::WalMode::kFlex, bool wal_checksum = false,
     bool group_commit = false);
@@ -64,19 +67,24 @@ std::unique_ptr<Target> make_cmap_target();
 std::unique_ptr<Target> make_stree_target();
 // Sharded frontend (workload::ShardedStore over two per-DIMM lsmkv
 // shards, deferred background compaction on): single-key ops,
-// cross-shard batched dispatch, and donated compaction turns. The
-// crash-atomic unit is one shard's slice of a dispatch (one WAL group
-// burst), so each shard's recovered state is checked on its own.
+// cross-shard batched dispatch, and donated background turns. The run
+// fills neither shard's memtable, so it reaches no flush and no merge
+// (make_lsmkv_merge_target covers merges). The crash-atomic unit is one
+// shard's slice of a dispatch (one WAL group burst), so each shard's
+// recovered state is checked on its own.
 std::unique_ptr<Target> make_sharded_target();
 // lsmkv with deferred compaction whose merges each span several bounded
-// background turns: crash points inside a partial merge.
+// background turns: crash points inside a partial merge. The run reaches
+// 9 flushes and 5 merges; every other lsmkv row reaches one merge at
+// most.
 std::unique_ptr<Target> make_lsmkv_merge_target();
 // Self-healing replicated frontend (ShardedStore, 2 shards, replicas=2,
 // lsmkv) under combined at-rest poison and crash points: the workload
 // quarantines store 0 mid-run and crash points land inside the online
-// rebuild's heal ntstores and re-silver WAL bursts. Recovery re-opens a
-// fresh frontend, drives the rebuild to completion and checks the model
-// twice, for double-recovery idempotence.
+// rebuild's heal ntstores and re-silver WAL bursts (the run reaches no
+// flush and no merge). Recovery re-opens a fresh frontend, drives the
+// rebuild to completion and checks the model twice, for double-recovery
+// idempotence.
 std::unique_ptr<Target> make_resilient_target();
 
 // The standard panel: pmemlib, lsmkv (FLEX WAL, per-record and group

@@ -4,8 +4,6 @@
 #include <cstdint>
 #include <string>
 
-#include "sim/simtime.h"
-
 namespace xp::kv {
 
 // Which write-ahead-log strategy the store uses — the three candidates
@@ -28,7 +26,7 @@ struct DbOptions {
   std::size_t memtable_bytes = 4 << 20; // flush threshold
   // The fewest L0 runs a merge starts with. Past it, a merge is due once
   // L0 holds a tenth of L1's bytes (Db::kLevelFanout), or at the latest
-  // one run below the L0 limit (l0_stall_trigger with background
+  // one run below the L0 limit (Db::kL0StallTrigger with background
   // compaction, else the manifest's capacity).
   unsigned l0_compaction_trigger = 4;
   std::uint64_t wal_capacity = 64 << 20;
@@ -52,14 +50,13 @@ struct DbOptions {
 
   // ---- Read path (§5.1), all off by default so the seed read behavior
   // ---- and timing are unchanged ----------------------------------------
-  // DRAM residency for read-path metadata: the manifest plus every live
-  // SSTable's bloom filter and offset array are mirrored in DRAM (built
-  // from bytes already in hand at flush/compaction, loaded once at open),
-  // so point gets stop re-loading ~10 KB of filter per table per lookup.
-  bool sst_residency = false;
   // XPLine-granular read combining: binary-search probes and value reads
   // fetch whole 256 B lines through a pmem::LineReader instead of
-  // dribbling dependent 4-64 B loads.
+  // dribbling dependent 4-64 B loads. It also keeps read-path metadata
+  // resident in DRAM: the manifest plus every live SSTable's bloom filter
+  // and offset array are mirrored (built from bytes already in hand at
+  // flush/compaction, loaded once at open), so point gets stop re-loading
+  // ~10 KB of filter per table per lookup.
   bool read_combine = false;
   // DRAM read-cache capacity in 256 B lines (0 = no cache; 4096 = 1 MiB).
   // The cache backs the LineReader, so it only takes effect together with
@@ -72,20 +69,13 @@ struct DbOptions {
   // thread donates turns via Db::background_work(), at most half a
   // memtable of output per turn (the workload engine runs one donor
   // thread per frontend). Writes keep flowing against the growing L0;
-  // the merge is due one run before l0_stall_trigger at the latest, so a
-  // turn rather than a writer starts it. A write that finds L0 at
-  // l0_stall_trigger runs the merge in progress (or a new one) to its
+  // the merge is due one run before Db::kL0StallTrigger at the latest, so
+  // a turn rather than a writer starts it. A write that finds L0 at
+  // Db::kL0StallTrigger runs the merge in progress (or a new one) to its
   // commit inline — the classic write-stall admission gate, which also
   // keeps the manifest's fixed L0 array from overflowing. Inline
   // compaction ignores the stall trigger.
   bool background_compaction = false;
-  unsigned l0_stall_trigger = 12;  // clamped below Db::kMaxL0
-
-  // CPU-side costs (simulated time) for work that doesn't touch the
-  // memory system model: DRAM-structure operations and syscalls.
-  sim::Time cpu_memtable_op = sim::ns(250);
-  sim::Time syscall = sim::ns(450);
-  sim::Time fsync_syscall = sim::ns(700);
 };
 
 struct DbStats {

@@ -80,18 +80,18 @@ struct Db::Merge {
   std::vector<SsTable::Cursor> runs;
   std::optional<RunMerge> merge;  // over `runs`
   SsTable::Builder out;
-  SsTable::Residency res;  // out's, under sst_residency
+  SsTable::Residency res;  // out's, under read_combine
   std::uint64_t bound = 0;  // out's largest possible size
   TableRef extent;          // allocated before out's first write
 };
 
 Db::Db(hw::PmemNamespace& ns, DbOptions opts)
-    : opts_(opts), pool_(ns), memtable_(opts_) {}
+    : opts_(opts), pool_(ns) {}
 
 Db::~Db() = default;
 
 Db::Manifest Db::load_manifest(sim::ThreadCtx& ctx) {
-  // Under sst_residency the manifest is mirrored in DRAM: every
+  // Under read_combine the manifest is mirrored in DRAM: every
   // modification goes through store_manifest() in-process, so the mirror
   // is always the committed manifest and point lookups skip a ~560 B PM
   // load. (Recovery paths run before the mirror exists and read PM.)
@@ -163,7 +163,7 @@ void Db::init_read_path(sim::ThreadCtx& ctx, const Manifest& m,
         pmem::ReadCacheOptions{.capacity_lines = opts_.read_cache_lines});
     reader_.attach_cache(rcache_.get());
   }
-  if (!opts_.sst_residency) return;
+  if (!opts_.read_combine) return;
   manifest_cache_ = m;
   if (load_tables) {
     for (std::uint32_t i = 0; i < m.n_l0; ++i)
@@ -193,11 +193,11 @@ void Db::prune_residency(const Manifest& m) {
 SsTable::ReadCtx Db::read_ctx(std::uint64_t table_off) {
   SsTable::ReadCtx rc;
   rc.keybuf = &key_scratch_;
-  if (opts_.sst_residency) {
+  if (opts_.read_combine) {
+    rc.reader = &reader_;
     const auto it = residency_.find(table_off);
     if (it != residency_.end()) rc.res = &it->second;
   }
-  if (opts_.read_combine) rc.reader = &reader_;
   return rc;
 }
 
@@ -427,7 +427,7 @@ std::vector<std::pair<std::string, std::string>> Db::scan(
                               bool tomb) { absorb(k, v, tomb); });
   } else {
     memtable_.for_each_from(start_key, absorb);
-    ctx.advance_by(opts_.cpu_memtable_op);
+    ctx.advance_by(Memtable::kOpCost);
   }
 
   // Every run seeks to start_key and streams forward only as far as the
@@ -574,11 +574,7 @@ void Db::maybe_flush(sim::ThreadCtx& ctx) {
 }
 
 unsigned Db::l0_limit() const {
-  // Clamp to the manifest's capacity so a misconfigured trigger can never
-  // let L0 overflow the fixed array.
-  return opts_.background_compaction
-             ? std::min<unsigned>(opts_.l0_stall_trigger, kMaxL0 - 1)
-             : kMaxL0;
+  return opts_.background_compaction ? kL0StallTrigger : kMaxL0;
 }
 
 bool Db::compaction_due(const Manifest& m) const {
@@ -607,7 +603,7 @@ void Db::flush(sim::ThreadCtx& ctx) {
   }
   ++stats_.memtable_flushes;
   SsTable::Residency res;
-  b.seal(opts_.sst_residency ? &res : nullptr);
+  b.seal(opts_.read_combine ? &res : nullptr);
 
   Manifest m = load_manifest(ctx);
   assert(m.n_l0 < kMaxL0);
@@ -617,7 +613,7 @@ void Db::flush(sim::ThreadCtx& ctx) {
     const std::uint64_t size = b.size();
     const std::uint64_t off = pool_.tx_alloc(tx, size);
     stats_.sst_bytes_written += b.write(ctx, pool_.ns(), off, size);
-    if (opts_.sst_residency) residency_[off] = std::move(res);
+    if (opts_.read_combine) residency_[off] = std::move(res);
 
     m.l0[m.n_l0++] = TableRef{off, size};
     if (opts_.memtable == MemtableMode::kPersistent) {
@@ -682,7 +678,7 @@ bool Db::merge_step(sim::ThreadCtx& ctx, std::uint64_t budget) {
     }
     const bool last = !mg.merge->valid();
     if (last && !mg.out.sealed())
-      mg.out.seal(opts_.sst_residency ? &mg.res : nullptr);
+      mg.out.seal(opts_.read_combine ? &mg.res : nullptr);
     if (mg.out.count() > 0) {
       if (mg.extent.size == 0) allocate_output(ctx, mg);
       stats_.sst_bytes_written +=
@@ -763,7 +759,7 @@ void Db::finish_merge(sim::ThreadCtx& ctx) {
     // free-chunk header into lines the merge never wrote, which may still
     // hold poison.
     out.l1[out.n_l1++] = mg.extent;
-    if (opts_.sst_residency) residency_[mg.extent.off] = std::move(mg.res);
+    if (opts_.read_combine) residency_[mg.extent.off] = std::move(mg.res);
   }
   store_manifest(ctx, tx, out);
   tx.commit();

@@ -42,6 +42,12 @@ class Db {
   // textbook level fanout, which bounds how often L1 is rewritten.
   static constexpr std::uint64_t kLevelFanout = 10;
 
+  // With background compaction, a writer that finds this many L0 runs
+  // finishes the merge inline (the write-stall gate); below the
+  // manifest's capacity so L0 can never overflow the fixed array.
+  static constexpr unsigned kL0StallTrigger = 12;
+  static_assert(kL0StallTrigger < kMaxL0);
+
   Db(hw::PmemNamespace& ns, DbOptions opts);
   ~Db();
 
@@ -208,9 +214,9 @@ class Db {
   Manifest load_manifest(sim::ThreadCtx& ctx);
   void store_manifest(sim::ThreadCtx& ctx, pmem::Tx& tx, const Manifest& m);
 
-  // ---- read path (DbOptions::sst_residency / read_combine) ---------------
+  // ---- read path (DbOptions::read_combine) -------------------------------
   // Construct the per-open read-path state: the DRAM read cache (if
-  // configured) and, under sst_residency, the manifest mirror + residency
+  // configured) and, under read_combine, the manifest mirror + residency
   // for every table referenced by `m`. No-op with the knobs off.
   void init_read_path(sim::ThreadCtx& ctx, const Manifest& m,
                       bool load_tables);
@@ -244,7 +250,7 @@ class Db {
   std::unique_ptr<Merge> merge_;
 
   // ---- read-path state (all empty/null with the knobs off) ---------------
-  std::optional<Manifest> manifest_cache_;  // DRAM mirror (sst_residency)
+  std::optional<Manifest> manifest_cache_;  // DRAM mirror (read_combine)
   std::unordered_map<std::uint64_t, SsTable::Residency>
       residency_;  // by table offset
   std::unique_ptr<pmem::ReadCache> rcache_;

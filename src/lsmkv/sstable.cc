@@ -240,8 +240,7 @@ SsTable::Residency SsTable::load_residency(sim::ThreadCtx& ctx,
 FindResult SsTable::get_ex(sim::ThreadCtx& ctx, hw::PmemNamespace& ns,
                            std::uint64_t off, std::string_view key,
                            std::string* value, const ReadCtx& rc) {
-  if (rc.res == nullptr && rc.reader == nullptr)
-    return get(ctx, ns, off, key, value, rc.keybuf);
+  if (rc.reader == nullptr) return get(ctx, ns, off, key, value, rc.keybuf);
 
   std::uint32_t count;
   std::uint32_t filter_len;
@@ -267,8 +266,6 @@ FindResult SsTable::get_ex(sim::ThreadCtx& ctx, hw::PmemNamespace& ns,
     return FindResult::kNotFound;
   const std::uint64_t data_at = off + sizeof(Header);
 
-  std::string local;
-  std::string& k = rc.keybuf != nullptr ? *rc.keybuf : local;
   std::uint32_t lo = 0, hi = count;
   while (lo < hi) {
     const std::uint32_t mid = lo + (hi - lo) / 2;
@@ -277,60 +274,34 @@ FindResult SsTable::get_ex(sim::ThreadCtx& ctx, hw::PmemNamespace& ns,
             ? rc.res->offsets[mid]
             : rc.reader->fetch_pod<std::uint32_t>(ctx, ns,
                                                   offsets_at + mid * 4);
-    if (rc.reader != nullptr) {
-      // One line-aligned fetch stages the entry header and (for the
-      // expected key size) the whole probe key; klen/vraw must be copied
-      // out before the next fetch invalidates the staged pointer.
-      const std::uint8_t* e =
-          rc.reader->fetch(ctx, ns, data_at + rel, 8, 8 + key.size());
-      std::uint32_t klen, vraw;
-      std::memcpy(&klen, e, 4);
-      std::memcpy(&vraw, e + 4, 4);
-      const std::uint8_t* kb = rc.reader->fetch(ctx, ns, data_at + rel + 8,
-                                                klen);
-      const std::size_t n = std::min<std::size_t>(klen, key.size());
-      int c = n == 0 ? 0 : std::memcmp(kb, key.data(), n);
-      if (c == 0 && klen != key.size()) c = klen < key.size() ? -1 : 1;
-      if (c < 0) {
-        lo = mid + 1;
-      } else if (c > 0) {
-        hi = mid;
-      } else {
-        if (vraw & kTombstoneBit) return FindResult::kTombstone;
-        const std::uint32_t vlen = vraw & ~kTombstoneBit;
-        if (value != nullptr) {
-          value->resize(vlen);
-          rc.reader->read(ctx, ns, data_at + rel + 8 + klen,
-                          std::span<std::uint8_t>(
-                              reinterpret_cast<std::uint8_t*>(value->data()),
-                              vlen));
-        }
-        return FindResult::kFound;
-      }
+    // One line-aligned fetch stages the entry header and (for the
+    // expected key size) the whole probe key; klen/vraw must be copied
+    // out before the next fetch invalidates the staged pointer.
+    const std::uint8_t* e =
+        rc.reader->fetch(ctx, ns, data_at + rel, 8, 8 + key.size());
+    std::uint32_t klen, vraw;
+    std::memcpy(&klen, e, 4);
+    std::memcpy(&vraw, e + 4, 4);
+    const std::uint8_t* kb = rc.reader->fetch(ctx, ns, data_at + rel + 8,
+                                              klen);
+    const std::size_t n = std::min<std::size_t>(klen, key.size());
+    int c = n == 0 ? 0 : std::memcmp(kb, key.data(), n);
+    if (c == 0 && klen != key.size()) c = klen < key.size() ? -1 : 1;
+    if (c < 0) {
+      lo = mid + 1;
+    } else if (c > 0) {
+      hi = mid;
     } else {
-      // Residency only: the probe itself uses the seed load sequence,
-      // minus the offset-array load.
-      const auto klen = ns.load_pod<std::uint32_t>(ctx, data_at + rel);
-      k.resize(klen);
-      ns.load(ctx, data_at + rel + 8,
-              std::span<std::uint8_t>(
-                  reinterpret_cast<std::uint8_t*>(k.data()), klen));
-      if (k < key) {
-        lo = mid + 1;
-      } else if (k > key) {
-        hi = mid;
-      } else {
-        const auto vraw = ns.load_pod<std::uint32_t>(ctx, data_at + rel + 4);
-        if (vraw & kTombstoneBit) return FindResult::kTombstone;
-        const std::uint32_t vlen = vraw & ~kTombstoneBit;
-        if (value != nullptr) {
-          value->resize(vlen);
-          ns.load(ctx, data_at + rel + 8 + klen,
-                  std::span<std::uint8_t>(
-                      reinterpret_cast<std::uint8_t*>(value->data()), vlen));
-        }
-        return FindResult::kFound;
+      if (vraw & kTombstoneBit) return FindResult::kTombstone;
+      const std::uint32_t vlen = vraw & ~kTombstoneBit;
+      if (value != nullptr) {
+        value->resize(vlen);
+        rc.reader->read(ctx, ns, data_at + rel + 8 + klen,
+                        std::span<std::uint8_t>(
+                            reinterpret_cast<std::uint8_t*>(value->data()),
+                            vlen));
       }
+      return FindResult::kFound;
     }
   }
   return FindResult::kNotFound;

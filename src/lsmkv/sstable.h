@@ -49,8 +49,8 @@ class SsTable {
     std::vector<std::uint32_t> offsets;
   };
 
-  // Optional read accelerators threaded through get_ex(). All-null is
-  // exactly the plain get() path.
+  // Optional read accelerators threaded through get_ex(). A null reader
+  // is exactly the plain get() path; `res` is only read with a reader.
   struct ReadCtx {
     const Residency* res = nullptr;      // DRAM metadata (null = load PM)
     pmem::LineReader* reader = nullptr;  // XPLine combining (null = plain)
@@ -80,9 +80,11 @@ class SsTable {
                         std::uint64_t off, std::string_view key,
                         std::string* value, std::string* keybuf = nullptr);
 
-  // get() with the read-path accelerators (DbOptions::sst_residency /
-  // read_combine). Returns exactly what get() returns for any table and
-  // key; only the PM access pattern differs.
+  // get() with the read-path accelerators (DbOptions::read_combine): with
+  // a reader, probes fetch whole lines through it, and `res` (optional)
+  // spares the filter and offset loads; without one it is get(). Returns
+  // exactly what get() returns for any table and key; only the PM access
+  // pattern differs.
   static FindResult get_ex(sim::ThreadCtx& ctx, hw::PmemNamespace& ns,
                            std::uint64_t off, std::string_view key,
                            std::string* value, const ReadCtx& rc);

@@ -92,6 +92,11 @@ class Wal {
   WalMode mode() const { return mode_; }
 
  private:
+  // CPU costs (simulated time) of the kernel crossings a POSIX-file WAL
+  // pays per append and per fsync.
+  static constexpr sim::Time kSyscall = sim::ns(450);
+  static constexpr sim::Time kFsyncSyscall = sim::ns(700);
+
   void write_bytes(ThreadCtx& ctx, std::uint64_t off,
                    std::span<const std::uint8_t> data);
 

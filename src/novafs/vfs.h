@@ -20,12 +20,10 @@ using sim::ThreadCtx;
 
 // Per-syscall CPU costs (user/kernel crossing + VFS path); the paper's
 // file-IO latencies include them on every file system.
-struct FsCosts {
-  sim::Time write_syscall = sim::ns(500);
-  sim::Time read_syscall = sim::ns(400);
-  sim::Time fsync_syscall = sim::ns(600);
-  sim::Time open_syscall = sim::ns(900);
-};
+inline constexpr sim::Time kWriteSyscall = sim::ns(500);
+inline constexpr sim::Time kReadSyscall = sim::ns(400);
+inline constexpr sim::Time kFsyncSyscall = sim::ns(600);
+inline constexpr sim::Time kOpenSyscall = sim::ns(900);
 
 class FileSystem {
  public:

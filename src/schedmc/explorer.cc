@@ -12,6 +12,15 @@ namespace xp::schedmc {
 
 namespace {
 
+// PCT: base preemption depth (cycled up by 0-3 per schedule) and the
+// expected decisions per run, capped by the serial baseline's count.
+constexpr unsigned kPctDepth = 3;
+constexpr std::uint64_t kPctHorizon = 256;
+// DFS: max preemptions per schedule, and branching only in the first N
+// decisions of a run.
+constexpr unsigned kDfsPreemptionBound = 2;
+constexpr std::size_t kDfsBranchHorizon = 96;
+
 // Preemptions in a decision sequence: decision k preempts when it picks
 // a different thread than k-1 while k-1's thread was still runnable.
 std::uint64_t count_preemptions(
@@ -37,7 +46,7 @@ struct Driver {
     Interleaver::Options io;
     io.platform = &target.platform();
     io.sink = opts.sink;
-    io.record_runnable = opts.dfs_branch_horizon;
+    io.record_runnable = kDfsBranchHorizon;
     return io;
   }
 
@@ -159,7 +168,7 @@ Result explore(Target& target, const Options& opts) {
   // drawn past the end of the run never fire, so an oversized horizon
   // collapses schedules onto the few base priority orders.
   std::vector<std::vector<unsigned>> crash_traces;
-  std::uint64_t horizon = opts.pct_horizon;
+  std::uint64_t horizon = kPctHorizon;
   {
     ReplayPolicy serial({});
     const Interleaver::RunResult rr = d.run_live(serial, opts.seed);
@@ -173,7 +182,7 @@ Result explore(Target& target, const Options& opts) {
     const std::size_t nthreads = target.specs().size();
     // Cycle the preemption depth: deeper schedules distinguish runs the
     // base priority orders cannot.
-    const unsigned depth = opts.pct_depth + s % 4;
+    const unsigned depth = kPctDepth + s % 4;
     PctPolicy policy(opts.seed + s, static_cast<unsigned>(nthreads), depth,
                      horizon);
     const Interleaver::RunResult rr = d.run_live(policy, opts.seed + s);
@@ -195,7 +204,7 @@ Result explore(Target& target, const Options& opts) {
       // Branch at decisions >= |prefix| (earlier branches were enumerated
       // by this run's ancestors), inside the recorded horizon.
       const std::size_t lim =
-          std::min(rr.runnable_at.size(), opts.dfs_branch_horizon);
+          std::min(rr.runnable_at.size(), kDfsBranchHorizon);
       for (std::size_t i = prefix.size(); i < lim; ++i) {
         for (const unsigned alt : rr.runnable_at[i]) {
           if (alt == rr.trace[i]) continue;
@@ -204,7 +213,7 @@ Result explore(Target& target, const Options& opts) {
                                           static_cast<std::ptrdiff_t>(i));
           child.push_back(alt);
           if (count_preemptions(child, rr.runnable_at) <=
-              opts.dfs_preemption_bound)
+              kDfsPreemptionBound)
             frontier.push_back(std::move(child));
         }
       }

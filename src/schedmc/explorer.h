@@ -87,12 +87,8 @@ struct Options {
   std::uint64_t seed = 1;
   // Phase 1: PCT.
   unsigned pct_schedules = 200;
-  unsigned pct_depth = 3;
-  std::uint64_t pct_horizon = 256;  // expected decisions per run
   // Phase 2: preemption-bounded DFS.
-  unsigned dfs_schedules = 64;          // run budget
-  unsigned dfs_preemption_bound = 2;    // max preemptions per schedule
-  std::size_t dfs_branch_horizon = 96;  // branch in the first N decisions
+  unsigned dfs_schedules = 64;  // run budget
   // Phase 3: crash composition.
   unsigned crash_schedules = 0;  // how many PCT schedules to crash-sweep
   unsigned crash_points_per_schedule = 16;

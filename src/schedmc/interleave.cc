@@ -9,6 +9,11 @@
 
 namespace xp::schedmc {
 
+namespace {
+// Runaway guard: decisions one run may take before it finishes serially.
+constexpr std::uint64_t kMaxDecisions = std::uint64_t{1} << 20;
+}  // namespace
+
 // ---------------------------------------------------------------- PCT ----
 
 PctPolicy::PctPolicy(std::uint64_t seed, unsigned nthreads, unsigned depth,
@@ -158,7 +163,7 @@ unsigned Interleaver::decide(unsigned current, sim::SchedPoint point) {
     abort_ = true;
     return kNobody;
   }
-  if (budget_exhausted_ || decisions_ >= opts_.max_decisions) {
+  if (budget_exhausted_ || decisions_ >= kMaxDecisions) {
     // Out of decision budget: stop branching and finish the run serially
     // (keep the current thread while it can run).
     budget_exhausted_ = true;

@@ -113,7 +113,6 @@ class Interleaver final : public sim::SchedHook {
     // handoff (required whenever the bodies touch a Platform).
     hw::Platform* platform = nullptr;
     hw::TelemetrySink* sink = nullptr;  // schedule-point counters
-    std::uint64_t max_decisions = std::uint64_t{1} << 20;  // runaway guard
     // Record the runnable set for the first N decisions (DFS branching).
     std::size_t record_runnable = 512;
   };
@@ -127,7 +126,7 @@ class Interleaver final : public sim::SchedHook {
     std::array<std::uint64_t, sim::kNumSchedPoints> points{};
     bool crashed = false;       // a CrashPointHit fired mid-run
     bool deadlocked = false;    // every live thread blocked on a SchedLock
-    bool budget_exhausted = false;  // max_decisions hit; run finished serially
+    bool budget_exhausted = false;  // out of decisions; run finished serially
     std::string error;          // unexpected exception text ("" = none)
   };
 

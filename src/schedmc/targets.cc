@@ -27,8 +27,11 @@ using sim::SchedLockGuard;
 
 namespace {
 
-sim::ThreadCtx::Options worker_opts(const TargetOptions& o, unsigned t) {
-  return {.id = t, .socket = 0, .mlp = 8, .seed = o.workload_seed * 97 + t + 1};
+// Seeds every worker's ThreadCtx and op stream.
+constexpr std::uint64_t kWorkloadSeed = 7;
+
+sim::ThreadCtx::Options worker_opts(unsigned t) {
+  return {.id = t, .socket = 0, .mlp = 8, .seed = kWorkloadSeed * 97 + t + 1};
 }
 
 // Setup/recovery/state-reading contexts run outside the interleaver (no
@@ -37,10 +40,10 @@ sim::ThreadCtx service_ctx(unsigned id = 32) {
   return sim::ThreadCtx({.id = id, .socket = 0, .mlp = 8, .seed = id + 1});
 }
 
-// Per-(thread, run) RNG stream: pure function of the options, so a
+// Per-(thread, run) RNG stream: pure function of the thread, so a
 // replayed schedule re-executes the identical op sequence.
-sim::Rng body_rng(const TargetOptions& o, unsigned t) {
-  return sim::Rng(o.workload_seed * 1315423911ULL + t * 2654435761ULL + 1);
+sim::Rng body_rng(unsigned t) {
+  return sim::Rng(kWorkloadSeed * 1315423911ULL + t * 2654435761ULL + 1);
 }
 
 bool elide(const TargetOptions& o) {
@@ -60,7 +63,7 @@ class WorkerTarget : public Target {
   std::vector<ThreadSpec> specs() override {
     std::vector<ThreadSpec> v;
     for (unsigned t = 0; t < opts_.threads; ++t)
-      v.push_back({worker_opts(opts_, t),
+      v.push_back({worker_opts(t),
                    [this, t](sim::ThreadCtx& ctx) { body(ctx, t); }});
     return v;
   }
@@ -141,7 +144,7 @@ class PmemlibTarget final : public WorkerTarget {
   }
 
   void body(sim::ThreadCtx& ctx, unsigned t) override {
-    sim::Rng rng = body_rng(opts_, t);
+    sim::Rng rng = body_rng(t);
     for (unsigned op = 0; op < opts_.ops_per_thread; ++op) {
       const unsigned slot = static_cast<unsigned>(rng.uniform(kSlots));
       const bool read = rng.uniform(4) == 0;
@@ -268,7 +271,7 @@ class NovafsTarget final : public WorkerTarget {
   }
 
   void body(sim::ThreadCtx& ctx, unsigned t) override {
-    sim::Rng rng = body_rng(opts_, t);
+    sim::Rng rng = body_rng(t);
     for (unsigned op = 0; op < opts_.ops_per_thread; ++op) {
       const unsigned r = static_cast<unsigned>(rng.uniform(8));
       const unsigned fi = static_cast<unsigned>(rng.uniform(kNames));
@@ -421,7 +424,7 @@ class KvTarget final : public WorkerTarget {
   std::vector<ThreadSpec> specs() override {
     std::vector<ThreadSpec> v = WorkerTarget::specs();
     if (row_.bg_turns != 0)
-      v.push_back({worker_opts(opts_, opts_.threads),
+      v.push_back({worker_opts(opts_.threads),
                    [this](sim::ThreadCtx& ctx) {
                      for (unsigned i = 0; i < row_.bg_turns; ++i) {
                        ctx.sched_point(sim::SchedPoint::kOpBegin);
@@ -540,7 +543,7 @@ class KvTarget final : public WorkerTarget {
   }
 
   void body(sim::ThreadCtx& ctx, unsigned t) override {
-    sim::Rng rng = body_rng(opts_, t);
+    sim::Rng rng = body_rng(t);
     const unsigned get_at = row_.puts + row_.gets;
     const unsigned del_at = get_at + row_.dels;
     const unsigned batch_at = del_at + row_.batches;

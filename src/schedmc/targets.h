@@ -4,8 +4,8 @@
 // multi-threaded put/get/delete/rename workload against one store,
 // records every operation into a History, and knows how to rebuild the
 // store from the durable image after a crash. The workloads are
-// deterministic functions of (workload_seed, thread id), which is what
-// lets the explorer replay a recorded schedule exactly.
+// deterministic functions of the thread id (and a fixed workload seed),
+// which is what lets the explorer replay a recorded schedule exactly.
 //
 // Every KV store is one target, KvTarget (targets.cc), written once
 // against workload::StoreIface and driven through its typed try_*
@@ -57,7 +57,6 @@ enum class TestFault {
 };
 
 struct TargetOptions {
-  std::uint64_t workload_seed = 7;
   unsigned threads = 3;
   unsigned ops_per_thread = 5;
   TestFault fault = TestFault::kNone;

@@ -127,11 +127,9 @@ std::string trace_point_path(const std::string& base, std::size_t index) {
 Session::Session(hw::Platform& platform, Options opts)
     : platform_(platform),
       opts_(std::move(opts)),
-      sampler_(platform,
-               {.interval = opts_.sample_interval,
-                .capacity = opts_.ring_capacity}) {
+      sampler_(platform, {.interval = opts_.sample_interval}) {
   if (!opts_.trace_path.empty()) {
-    trace_ = std::make_unique<TraceWriter>(opts_.max_trace_events);
+    trace_ = std::make_unique<TraceWriter>();
     const hw::Timing& t = platform_.timing();
     for (unsigned s = 0; s < t.sockets; ++s) {
       char name[32];

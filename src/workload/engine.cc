@@ -10,6 +10,8 @@ namespace {
 
 // Simulated time an idle background thread waits before polling again.
 constexpr sim::Time kBackgroundPoll = sim::us(2);
+// NUMA node every workload and background thread is pinned to.
+constexpr unsigned kSocket = 0;
 
 // Host-side read-validation oracle (EngineOptions::validate_reads): the
 // set of value hashes ever issued for each key id. A read hit outside
@@ -104,7 +106,7 @@ Result run(StoreIface& store, const Spec& spec, const EngineOptions& opts) {
   for (unsigned t = 0; t < T; ++t) {
     sim::ThreadCtx::Options topts;
     topts.id = t + 1;
-    topts.socket = opts.socket;
+    topts.socket = kSocket;
     topts.seed = spec.seed + t + 1;
     auto& ctx_ref = sched.spawn(topts, [&, t](sim::ThreadCtx& ctx) -> bool {
       PerThread& pt = per[t];
@@ -212,7 +214,7 @@ Result run(StoreIface& store, const Spec& spec, const EngineOptions& opts) {
   if (opts.background_thread) {
     sim::ThreadCtx::Options topts;
     topts.id = T + 1;
-    topts.socket = opts.socket;
+    topts.socket = kSocket;
     topts.seed = spec.seed + T + 1;
     sched.spawn(topts, [&](sim::ThreadCtx& ctx) -> bool {
       if (done_workers == T) return false;

@@ -17,7 +17,6 @@ namespace xp::workload {
 
 struct EngineOptions {
   unsigned threads = 4;
-  unsigned socket = 0;  // NUMA node the workload threads are pinned to
   std::uint64_t base_seed = 0;  // folded with spec.seed per thread
   // Donate one extra simulated thread that polls background_turn()
   // (deferred lsmkv compaction) while the workers run.

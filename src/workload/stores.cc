@@ -329,7 +329,6 @@ std::unique_ptr<StoreIface> make_store(StoreKind kind, hw::PmemNamespace& ns,
       o.wal_capacity = 4 << 20;
       o.memtable_bytes = t.memtable_bytes;
       o.wal_group_commit = t.write_combine;
-      o.sst_residency = t.read_path;
       o.read_combine = t.read_path;
       o.read_cache_lines = cache_lines;
       o.background_compaction = t.background_compaction;

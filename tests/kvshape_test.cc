@@ -49,7 +49,6 @@ class DbStore final : public workload::StoreIface {
     o.wal_capacity = 4 << 20;
     o.memtable_bytes = 16 << 10;
     o.wal_group_commit = true;
-    o.sst_residency = true;
     o.read_combine = true;
     o.read_cache_lines = 2048;
     o.background_compaction = true;

@@ -492,8 +492,8 @@ void expect_matches(ThreadCtx& t, Db& db, const Model& model, int nkeys,
   }
 }
 
-// (background_compaction, read-path knobs: residency makes seek() use the
-// resident offset array).
+// (background_compaction, read_combine: its residency makes seek() use
+// the resident offset array).
 class StreamingCompaction
     : public ::testing::TestWithParam<std::tuple<bool, bool>> {
  protected:
@@ -502,7 +502,6 @@ class StreamingCompaction
     o.memtable_bytes = 1 << 20;  // flushes happen where the test asks
     o.wal_capacity = 8 << 20;
     o.background_compaction = std::get<0>(GetParam());
-    o.sst_residency = std::get<1>(GetParam());
     o.read_combine = std::get<1>(GetParam());
     return o;
   }

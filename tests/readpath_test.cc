@@ -281,6 +281,45 @@ TEST(ReadCache, ClockEvictionBoundsCapacity) {
   EXPECT_EQ(p[0], static_cast<std::uint8_t>((3 * kLine) * 131 + 4));
 }
 
+// A hit costs the issue gap plus kHotHitCost while the line is among the
+// last kHotLinesPerShard distinct lines its shard served, and the issue
+// gap plus the DRAM kHitCost once it has left that ring.
+TEST(ReadCache, HitCostsHotInsideRecentRingDramOutside) {
+  static_assert(pmem::ReadCache::kHitCost == sim::ns(60));
+  static_assert(pmem::ReadCache::kHotHitCost == sim::ns(5));
+  static_assert(pmem::ReadCache::kHotLinesPerShard == 64);
+  Platform platform;
+  auto& ns = platform.optane(1 << 20);
+  ThreadCtx t = make_thread();
+  const sim::Time gap = platform.timing().issue_gap;
+
+  constexpr std::size_t kRing = pmem::ReadCache::kHotLinesPerShard;
+  pmem::ReadCache cache(ns, {.capacity_lines = 2 * kRing, .shards = 1});
+  std::vector<std::uint8_t> line(kLine, 0x5a);
+  for (std::size_t i = 0; i <= kRing; ++i)
+    cache.insert(t, i * kLine, line.data());
+
+  // Simulated time one hit on `off` advances the drained thread by.
+  std::vector<std::uint8_t> out(kLine);
+  auto hit = [&](std::uint64_t off) {
+    t.drain();
+    const sim::Time t0 = t.now();
+    EXPECT_TRUE(cache.lookup(t, off, out.data()));
+    t.drain();
+    return t.now() - t0;
+  };
+
+  EXPECT_EQ(hit(0), gap + pmem::ReadCache::kHitCost);     // enters the ring
+  EXPECT_EQ(hit(0), gap + pmem::ReadCache::kHotHitCost);  // re-hit: hot
+  for (std::size_t i = 1; i < kRing; ++i)                  // fill the ring
+    EXPECT_EQ(hit(i * kLine), gap + pmem::ReadCache::kHitCost);
+  EXPECT_EQ(hit(0), gap + pmem::ReadCache::kHotHitCost);  // still inside
+  hit(kRing * kLine);  // one more distinct line pushes line 0 out
+  EXPECT_EQ(hit(0), gap + pmem::ReadCache::kHitCost);
+  EXPECT_EQ(cache.stats().hits, kRing + 4);
+  EXPECT_EQ(cache.stats().misses, 0u);
+}
+
 // ------------------------------------------------------------ ERR metric --
 
 TEST(ErrMetric, CounterConventionsMirrorEwr) {
@@ -332,7 +371,6 @@ kv::DbOptions lsm_opts(bool on) {
   kv::DbOptions o;
   o.memtable_bytes = 16 << 10;  // small: force flushes + compactions
   if (on) {
-    o.sst_residency = true;
     o.read_combine = true;
     o.read_cache_lines = 4096;
   }
